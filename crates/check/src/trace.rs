@@ -176,6 +176,28 @@ mod tests {
     }
 
     #[test]
+    fn text_and_binary_recordings_get_the_same_codes() {
+        // A wrapping static extent is only visible to the checker if the
+        // reader hands over the static objects before the first event.
+        let p = || {
+            TraceProgram::new(
+                "t",
+                vec![
+                    ObjectDecl::global("A", 0x1000, 64),
+                    ObjectDecl::global("wrap", u64::MAX, 64),
+                ],
+                vec![Event::Access(MemRef::read(0x1000, 8))],
+            )
+        };
+        let codes = |diags: Vec<Diagnostic>| -> Vec<&'static str> {
+            diags.iter().map(|d| d.code).collect()
+        };
+        let from_bin = codes(check_trace(&bin_of(p())[..], "t"));
+        assert!(!from_bin.is_empty(), "the wrapping extent is flagged");
+        assert_eq!(codes(check_trace(text_of(p()).as_bytes(), "t")), from_bin);
+    }
+
+    #[test]
     fn lifecycle_violations_inside_traces_surface() {
         let p = TraceProgram::new(
             "t",

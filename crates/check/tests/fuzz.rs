@@ -5,7 +5,8 @@
 //! exactly from the iteration number.
 
 use cachescope_check::trace;
-use cachescope_sim::tracefile::{load_eager, RecordingProgram, TraceFormat};
+use cachescope_serve::SessionStream;
+use cachescope_sim::tracefile::{load_eager, RecordingProgram, TraceErrorKind, TraceFormat};
 use cachescope_sim::{Event, MemRef, ObjectDecl, Program, TraceProgram};
 
 /// Minimal xorshift64* — no external RNG crates in this workspace.
@@ -136,4 +137,34 @@ fn pure_garbage_never_panics() {
             must_not_panic(&bytes, &format!("fuzz-{tag}-magic-{iter}"));
         }
     }
+}
+
+/// A 19-byte binary header that claims `u32::MAX` static objects and then
+/// ends: the object table must not be reserved from the claimed count.
+fn hostile_count_header() -> Vec<u8> {
+    let mut bytes = b"cstrace2".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.push(b'x');
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 4]);
+    assert_eq!(bytes.len(), 19);
+    bytes
+}
+
+#[test]
+fn hostile_object_count_is_a_truncated_header_everywhere() {
+    let bytes = hostile_count_header();
+    let diags = trace::check_trace(&bytes[..], "hostile");
+    let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["CS-T002"]);
+    let err = load_eager(&bytes[..]).expect_err("the header is cut short");
+    assert_eq!(err.kind, TraceErrorKind::TruncatedHeader);
+    let mut session = SessionStream::new();
+    session
+        .feed(&bytes, u64::MAX)
+        .expect("a short header waits for more");
+    let refusal = session
+        .finish()
+        .expect_err("the stream ended in the header");
+    assert_eq!(refusal.code, "CS-T002");
 }

@@ -287,7 +287,15 @@ fn await_slot(shared: &Shared, slot: &Inflight) -> Result<String, Refusal> {
     }
 }
 
-fn send_reject<S: Write>(stream: &mut S, refusal: &Refusal) {
+/// Refuse session `id` (0 before one is assigned): count it, emit the
+/// event, and send the `Reject` frame if the socket still works.
+fn reject<S: Write>(shared: &Shared, stream: &mut S, id: u64, refusal: &Refusal) {
+    shared.rejected.fetch_add(1, Ordering::SeqCst);
+    shared.emit(ObsEvent::SessionReject {
+        id,
+        code: refusal.code.clone(),
+        reason: refusal.message.clone(),
+    });
     let _ = send_frame(
         stream,
         FrameType::Reject,
@@ -319,26 +327,12 @@ fn handle_conn<S: Read + Write>(shared: &Arc<Shared>, mut stream: S, peer: &str)
                     format!("expected hello or status, got {}", f.kind.name()),
                     false,
                 );
-                shared.rejected.fetch_add(1, Ordering::SeqCst);
-                shared.emit(ObsEvent::SessionReject {
-                    id: 0,
-                    code: refusal.code.clone(),
-                    reason: refusal.message.clone(),
-                });
-                send_reject(&mut stream, &refusal);
-                return;
+                return reject(shared, &mut stream, 0, &refusal);
             }
             Ok(Recv::Closed) | Ok(Recv::Aborted) => return,
             Err(RecvError::Bad(d)) => {
                 let refusal = Refusal::new(d.code, d.message, false);
-                shared.rejected.fetch_add(1, Ordering::SeqCst);
-                shared.emit(ObsEvent::SessionReject {
-                    id: 0,
-                    code: refusal.code.clone(),
-                    reason: refusal.message.clone(),
-                });
-                send_reject(&mut stream, &refusal);
-                return;
+                return reject(shared, &mut stream, 0, &refusal);
             }
             Err(RecvError::Io(_)) => return,
         }
@@ -351,29 +345,13 @@ fn handle_conn<S: Read + Write>(shared: &Arc<Shared>, mut stream: S, peer: &str)
     };
     let config = match config {
         Ok(c) => c,
-        Err(refusal) => {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
-            shared.emit(ObsEvent::SessionReject {
-                id: 0,
-                code: refusal.code.clone(),
-                reason: refusal.message.clone(),
-            });
-            send_reject(&mut stream, &refusal);
-            return;
-        }
+        Err(refusal) => return reject(shared, &mut stream, 0, &refusal),
     };
 
     // Admission.
     if shared.draining.load(Ordering::SeqCst) {
         let refusal = Refusal::new("draining", "daemon is draining; retry later", true);
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        shared.emit(ObsEvent::SessionReject {
-            id: 0,
-            code: refusal.code.clone(),
-            reason: refusal.message.clone(),
-        });
-        send_reject(&mut stream, &refusal);
-        return;
+        return reject(shared, &mut stream, 0, &refusal);
     }
     let admitted = {
         let mut active = lock(&shared.active);
@@ -393,14 +371,7 @@ fn handle_conn<S: Read + Write>(shared: &Arc<Shared>, mut stream: S, peer: &str)
             ),
             true,
         );
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        shared.emit(ObsEvent::SessionReject {
-            id: 0,
-            code: refusal.code.clone(),
-            reason: refusal.message.clone(),
-        });
-        send_reject(&mut stream, &refusal);
-        return;
+        return reject(shared, &mut stream, 0, &refusal);
     }
 
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
@@ -440,15 +411,7 @@ fn handle_conn<S: Read + Write>(shared: &Arc<Shared>, mut stream: S, peer: &str)
                 });
             }
         }
-        Err(Some(refusal)) => {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
-            shared.emit(ObsEvent::SessionReject {
-                id,
-                code: refusal.code.clone(),
-                reason: refusal.message.clone(),
-            });
-            send_reject(&mut stream, &refusal);
-        }
+        Err(Some(refusal)) => reject(shared, &mut stream, id, &refusal),
         Err(None) => {} // peer vanished; nothing to answer
     }
 }

@@ -38,9 +38,11 @@
 //!
 //! Only `Alloc` carries a variable tail (8-byte size + name bytes); the
 //! hot record — `Access` — is always one aligned 16-byte word, so replay
-//! decodes chunks straight out of the read buffer. Replaying a recorded
-//! trace in either format produces results bit-identical to the live
-//! program.
+//! decodes records in place from the read buffer. One decoder reads the
+//! format; [`BinTraceReader`] drives it from a `BufRead` and
+//! [`BinStreamDecoder`] from bytes pushed off a socket. Replaying a
+//! recorded trace in either format produces results bit-identical to the
+//! live program.
 
 use std::io::{self, BufRead, Write};
 
@@ -233,16 +235,20 @@ impl<P: Program, W: Write> Program for RecordingProgram<P, W> {
     }
 }
 
-/// Streams a recorded trace back as a [`Program`].
+/// Streams a recorded text (v1) trace back as a [`Program`].
 ///
-/// Body errors never panic: [`TraceReader::try_next_event`] returns them
-/// typed, and the infallible [`Program::next_event`] path stashes the
-/// first error (readable via [`TraceReader::error`]) and reports
-/// end-of-program.
+/// [`TraceReader::new`] parses the whole header — magic, name and the
+/// contiguous `O` lines — so [`Program::static_objects`] is complete
+/// before the first event is pulled. Body errors never panic:
+/// [`TraceReader::try_next_event`] returns them typed, and the
+/// infallible [`Program::next_event`] path stashes the first error
+/// (readable via [`TraceReader::error`]) and reports end-of-program.
 pub struct TraceReader<R: BufRead> {
     name: String,
     objects: Vec<ObjectDecl>,
     lines: io::Lines<R>,
+    /// The first body line, read while looking for the header's end.
+    pending: Option<String>,
     line_no: usize,
     error: Option<TraceError>,
 }
@@ -280,9 +286,9 @@ impl TraceErrorKind {
 }
 
 /// A malformed or truncated trace. `line` is 1-based for the text
-/// format and 0 for binary traces (which report byte offsets in the
-/// message instead).
-#[derive(Debug, Clone)]
+/// format and 0 for binary traces, whose messages end with the byte
+/// offset of the header or record at fault instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
     pub line: usize,
     pub kind: TraceErrorKind,
@@ -305,21 +311,15 @@ impl<R: BufRead> TraceReader<R> {
     /// Parse the header (magic, name, static objects); the body streams
     /// lazily through [`Program::next_event`].
     pub fn new(reader: R) -> Result<Self, TraceError> {
-        let mut lines = reader.lines();
-        let mut line_no = 0usize;
-        let mut next = |no: &mut usize| -> Result<Option<String>, TraceError> {
-            *no += 1;
-            match lines.next() {
-                Some(Ok(l)) => Ok(Some(l)),
-                Some(Err(e)) => Err(TraceError {
-                    line: *no,
-                    kind: TraceErrorKind::Io,
-                    message: e.to_string(),
-                }),
-                None => Ok(None),
-            }
+        let mut tr = TraceReader {
+            name: String::new(),
+            objects: Vec::new(),
+            lines: reader.lines(),
+            pending: None,
+            line_no: 0,
+            error: None,
         };
-        let magic = next(&mut line_no)?.unwrap_or_default();
+        let magic = tr.next_line()?.unwrap_or_default();
         if magic != MAGIC {
             return Err(TraceError {
                 line: 1,
@@ -327,25 +327,40 @@ impl<R: BufRead> TraceReader<R> {
                 message: format!("bad magic {magic:?}"),
             });
         }
-        let name_line = next(&mut line_no)?.unwrap_or_default();
-        let name = name_line
+        let name_line = tr.next_line()?.unwrap_or_default();
+        tr.name = name_line
             .strip_prefix("N ")
             .ok_or(TraceError {
-                line: line_no,
+                line: tr.line_no,
                 kind: TraceErrorKind::TruncatedHeader,
                 message: "expected program name (N ...)".into(),
             })?
             .to_string();
-        // Object lines are contiguous; we cannot peek with io::Lines, so
-        // static objects are instead re-parsed permissively: read lines
-        // until a non-`O` line appears and stash it as the first event.
-        Ok(TraceReader {
-            name,
-            objects: Vec::new(),
-            lines,
-            line_no,
-            error: None,
-        })
+        // Static objects are the contiguous `O` lines after the name; the
+        // first body line is held back for the first pull.
+        while let Some(line) = tr.next_line()? {
+            let Some(rest) = line.strip_prefix("O ") else {
+                tr.line_no -= 1;
+                tr.pending = Some(line);
+                break;
+            };
+            let err = |m: String| TraceError {
+                line: tr.line_no,
+                kind: TraceErrorKind::MalformedRecord,
+                message: m,
+            };
+            let mut p = rest.splitn(3, ' ');
+            let base = u64::from_str_radix(p.next().unwrap_or(""), 16)
+                .map_err(|e| err(format!("bad object base: {e}")))?;
+            let size: u64 = p
+                .next()
+                .unwrap_or("")
+                .parse()
+                .map_err(|e| err(format!("bad object size: {e}")))?;
+            let name = p.next().unwrap_or("").to_string();
+            tr.objects.push(ObjectDecl::global(name, base, size));
+        }
+        Ok(tr)
     }
 
     /// The first body error encountered, if the stream ended on one.
@@ -363,48 +378,29 @@ impl<R: BufRead> TraceReader<R> {
         self.line_no
     }
 
+    fn next_line(&mut self) -> Result<Option<String>, TraceError> {
+        self.line_no += 1;
+        match self.pending.take().map(Ok).or_else(|| self.lines.next()) {
+            None => Ok(None),
+            Some(Ok(l)) => Ok(Some(l)),
+            Some(Err(e)) => Err(TraceError {
+                line: self.line_no,
+                kind: TraceErrorKind::Io,
+                message: e.to_string(),
+            }),
+        }
+    }
+
     /// Fallible event pull: `Ok(None)` at clean end-of-trace, `Err` on a
     /// malformed line or I/O failure. Unlike [`Program::next_event`] this
     /// surfaces the error instead of stashing it.
     pub fn try_next_event(&mut self) -> Result<Option<Event>, TraceError> {
-        loop {
-            self.line_no += 1;
-            let line = match self.lines.next() {
-                None => return Ok(None),
-                Some(Ok(l)) => l,
-                Some(Err(e)) => {
-                    return Err(TraceError {
-                        line: self.line_no,
-                        kind: TraceErrorKind::Io,
-                        message: e.to_string(),
-                    })
-                }
-            };
-            // Header object lines (parsed here because the engine calls
-            // static_objects() before the first event — see `load`).
-            if let Some(rest) = line.strip_prefix("O ") {
-                let err = |m: String| TraceError {
-                    line: self.line_no,
-                    kind: TraceErrorKind::MalformedRecord,
-                    message: m,
-                };
-                let mut p = rest.splitn(3, ' ');
-                let base = u64::from_str_radix(p.next().unwrap_or(""), 16)
-                    .map_err(|e| err(format!("bad object base: {e}")))?;
-                let size: u64 = p
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|e| err(format!("bad object size: {e}")))?;
-                let name = p.next().unwrap_or("").to_string();
-                self.objects.push(ObjectDecl::global(name, base, size));
-                continue;
-            }
-            match Self::parse_event(&line, self.line_no)? {
-                Some(ev) => return Ok(Some(ev)),
-                None => continue,
+        while let Some(line) = self.next_line()? {
+            if let Some(ev) = Self::parse_event(&line, self.line_no)? {
+                return Ok(Some(ev));
             }
         }
+        Ok(None)
     }
 
     fn parse_event(line: &str, line_no: usize) -> Result<Option<Event>, TraceError> {
@@ -476,6 +472,7 @@ impl<R: BufRead> TraceReader<R> {
                     .parse()
                     .map_err(|e| err(format!("P: bad id: {e}")))?,
             ),
+            "O" => return Err(err("O: static object after the body began".into())),
             other => return Err(err(format!("unknown tag {other:?}"))),
         };
         Ok(Some(ev))
@@ -505,19 +502,24 @@ impl<R: BufRead> Program for TraceReader<R> {
     }
 }
 
-/// Streams a binary (v2) trace back as a [`Program`].
-///
-/// The header (magic, name, static objects) is parsed eagerly; body
-/// records decode lazily, and [`Program::next_chunk`] decodes fixed-width
-/// records directly out of the underlying read buffer.
-pub struct BinTraceReader<R: BufRead> {
-    name: String,
-    objects: Vec<ObjectDecl>,
-    reader: R,
-    /// Byte offset of the next unread record (for error reporting).
-    offset: u64,
-    error: Option<TraceError>,
-}
+// --- The binary (v2) decoder ----------------------------------------------
+//
+// `decode_bin_header` and `decode_bin_record` are the only code that
+// reads cstrace2 bytes. They work on a byte slice and never do I/O. Two
+// drivers feed them: `BinTraceReader` decodes in place from a `BufRead`'s
+// buffer (files, `--replay`, `check --trace`), and `BinStreamDecoder`
+// from bytes pushed as they arrive (the serve daemon's sockets).
+
+/// One decode step over a byte slice. `Ok(Some((value, len)))`: the
+/// item decoded from the first `len` bytes. `Ok(None)`: the slice ends
+/// inside the item, so more bytes are needed. A step looks at no byte
+/// past its item, and an error found on a prefix is the error for every
+/// longer input, so the result never depends on how the stream was split.
+type Decoded<T> = Result<Option<(T, usize)>, TraceError>;
+
+/// The fewest bytes a static object's header entry can take: base,
+/// size and name length.
+const MIN_OBJECT_BYTES: usize = 18;
 
 /// Build a binary-trace error (binary errors report byte offsets, so
 /// `line` is always 0).
@@ -529,86 +531,213 @@ fn bin_err(kind: TraceErrorKind, offset: u64, m: String) -> TraceError {
     }
 }
 
-/// Fill `buf` from `reader`, tolerating short reads. Returns the number
-/// of bytes actually read: `buf.len()` normally, `0` at a clean EOF, or
-/// something in between when the stream ends mid-record (torn record).
-fn read_up_to<R: BufRead>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match reader.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+/// The error for a stream that ends `left` bytes into the header, or
+/// into the record at `offset`.
+fn bin_truncated(offset: u64, left: usize, in_header: bool) -> TraceError {
+    let (kind, place) = match in_header {
+        true => (TraceErrorKind::TruncatedHeader, "inside the header"),
+        false => (TraceErrorKind::TruncatedRecord, "mid-record"),
+    };
+    let m = format!("stream ended {place} ({left} trailing bytes)");
+    bin_err(kind, offset, m)
+}
+
+/// The fixed-width field at `*at`, if `b` holds it; advances `*at`.
+fn take_n<const N: usize>(b: &[u8], at: &mut usize) -> Option<[u8; N]> {
+    let s = *b.get(*at..)?.first_chunk::<N>()?;
+    *at += N;
+    Some(s)
+}
+
+/// A u16-length-prefixed UTF-8 string of the header.
+fn take_str(b: &[u8], at: &mut usize) -> Result<Option<String>, TraceError> {
+    let Some(len) = take_n(b, at).map(u16::from_le_bytes) else {
+        return Ok(None);
+    };
+    let Some(s) = b.get(*at..*at + usize::from(len)) else {
+        return Ok(None);
+    };
+    *at += s.len();
+    String::from_utf8(s.to_vec()).map(Some).map_err(|e| {
+        let m = format!("bad utf-8 header string: {e}");
+        bin_err(TraceErrorKind::MalformedRecord, *at as u64, m)
+    })
+}
+
+/// Decode the header (magic, program name, static objects) at the front
+/// of `b`. The header always starts the stream, so `_offset` is 0; it is
+/// taken only to share [`pull`] with [`decode_bin_record`].
+fn decode_bin_header(b: &[u8], _offset: u64) -> Decoded<(String, Vec<ObjectDecl>)> {
+    // A prefix that already disagrees with the magic need not wait for
+    // all eight bytes.
+    if let Some(i) = b.iter().zip(BIN_MAGIC).position(|(x, m)| x != m) {
+        let m = format!("bad magic {:?}", &b[..=i]);
+        return Err(bin_err(TraceErrorKind::BadMagic, 0, m));
+    }
+    let mut at = BIN_MAGIC.len();
+    let Some(name) = take_str(b, &mut at)? else {
+        return Ok(None);
+    };
+    let Some(count) = take_n(b, &mut at).map(u32::from_le_bytes) else {
+        return Ok(None);
+    };
+    // Reserve no more objects than the bytes at hand can hold: the count
+    // comes from the input and may be hostile.
+    let fit = b.len().saturating_sub(at) / MIN_OBJECT_BYTES;
+    let mut objects = Vec::with_capacity(fit.min(count as usize));
+    for _ in 0..count {
+        let (Some(base), Some(size)) = (take_n(b, &mut at), take_n(b, &mut at)) else {
+            return Ok(None);
+        };
+        let Some(oname) = take_str(b, &mut at)? else {
+            return Ok(None);
+        };
+        let (base, size) = (u64::from_le_bytes(base), u64::from_le_bytes(size));
+        objects.push(ObjectDecl::global(oname, base, size));
+    }
+    Ok(Some(((name, objects), at)))
+}
+
+/// Decode the body record at the front of `b`, which starts at stream
+/// byte `offset` (errors report that offset).
+#[inline]
+fn decode_bin_record(b: &[u8], offset: u64) -> Decoded<Event> {
+    let Some(&[tag, flag, n0, n1, m0, m1, m2, m3, word @ ..]) = b.first_chunk::<16>() else {
+        return Ok(None);
+    };
+    let mid = u32::from_le_bytes([m0, m1, m2, m3]);
+    let word = u64::from_le_bytes(word);
+    let ev = match tag {
+        1 if flag != 0 => Event::Access(MemRef::write(word, mid)),
+        1 => Event::Access(MemRef::read(word, mid)),
+        2 => Event::Compute(word),
+        3 => {
+            let len = 24 + usize::from(u16::from_le_bytes([n0, n1]));
+            let Some((size, name)) = b.get(16..len).and_then(<[u8]>::split_first_chunk::<8>) else {
+                return Ok(None);
+            };
+            let name = match flag {
+                0 => None,
+                _ => Some(String::from_utf8(name.to_vec()).map_err(|e| {
+                    let m = format!("bad utf-8 alloc name: {e}");
+                    bin_err(TraceErrorKind::MalformedRecord, offset, m)
+                })?),
+            };
+            let size = u64::from_le_bytes(*size);
+            let alloc = Event::Alloc {
+                base: word,
+                size,
+                name,
+            };
+            return Ok(Some((alloc, len)));
+        }
+        4 => Event::Free { base: word },
+        5 => Event::Phase(mid),
+        t => {
+            let m = format!("unknown record tag {t}");
+            return Err(bin_err(TraceErrorKind::MalformedRecord, offset, m));
+        }
+    };
+    Ok(Some((ev, 16)))
+}
+
+/// Decode items at stream `*offset` from `reader` with `decode`, handing
+/// each to `sink` until it returns `false` or the stream ends. Complete
+/// items decode in place from the read buffer. The bytes of one that
+/// straddles the buffer's edge are copied into `carry`, which grows by
+/// at most its own length per refill, so the copy stays within twice the
+/// item. At the end of the stream, a partial item's bytes are left in
+/// `carry`.
+fn pull<R: BufRead, T>(
+    reader: &mut R,
+    carry: &mut Vec<u8>,
+    offset: &mut u64,
+    decode: impl Fn(&[u8], u64) -> Decoded<T>,
+    mut sink: impl FnMut(T) -> bool,
+) -> Result<(), TraceError> {
+    loop {
+        let avail = reader
+            .fill_buf()
+            .map_err(|e| bin_err(TraceErrorKind::Io, *offset, format!("read error: {e}")))?;
+        if avail.is_empty() {
+            return Ok(());
+        }
+        // Decode in place from the read buffer, or, while an item
+        // straddles its edge, from `carry` grown by the next bytes.
+        let held = carry.len();
+        if held > 0 {
+            carry.extend_from_slice(&avail[..avail.len().min(held.max(16))]);
+        }
+        let bytes = if held > 0 { &carry[..] } else { avail };
+        let (mut used, mut more) = (0, true);
+        while more && (held == 0 || used == 0) {
+            let Some((item, len)) = decode(&bytes[used..], *offset + used as u64)? else {
+                break;
+            };
+            used += len;
+            more = sink(item);
+        }
+        *offset += used as u64;
+        let took = match (held, used) {
+            (0, _) if more => {
+                carry.extend_from_slice(&avail[used..]);
+                avail.len()
+            }
+            (0, _) => used,
+            (_, 0) => carry.len() - held,
+            _ => {
+                carry.clear();
+                used - held
+            }
+        };
+        reader.consume(took);
+        if !more {
+            return Ok(());
         }
     }
-    Ok(got)
+}
+
+/// The `BufRead` driver: streams a binary (v2) trace back as a
+/// [`Program`].
+///
+/// The header is parsed eagerly; body records decode lazily, in place
+/// from the reader's buffer. Only a header or record that straddles the
+/// buffer's edge is copied, so replaying an in-memory trace copies
+/// nothing, and [`Program::next_chunk`] decodes straight into the chunk.
+pub struct BinTraceReader<R: BufRead> {
+    name: String,
+    objects: Vec<ObjectDecl>,
+    reader: R,
+    /// The bytes of a record that straddles the read buffer's edge.
+    carry: Vec<u8>,
+    /// Stream offset of the first byte not yet decoded.
+    offset: u64,
+    error: Option<TraceError>,
 }
 
 impl<R: BufRead> BinTraceReader<R> {
     /// Parse the binary header; fails on a bad magic or truncated header.
     pub fn new(mut reader: R) -> Result<Self, TraceError> {
-        fn read<R: BufRead>(
-            reader: &mut R,
-            offset: &mut u64,
-            buf: &mut [u8],
-            what: &str,
-        ) -> Result<(), TraceError> {
-            reader.read_exact(buf).map_err(|e| {
-                bin_err(
-                    TraceErrorKind::TruncatedHeader,
-                    *offset,
-                    format!("truncated {what}: {e}"),
-                )
-            })?;
-            *offset += buf.len() as u64;
-            Ok(())
-        }
-        fn read_str<R: BufRead>(
-            reader: &mut R,
-            offset: &mut u64,
-            what: &str,
-        ) -> Result<String, TraceError> {
-            let mut len = [0u8; 2];
-            read(reader, offset, &mut len, what)?;
-            let mut bytes = vec![0u8; u16::from_le_bytes(len) as usize];
-            read(reader, offset, &mut bytes, what)?;
-            String::from_utf8(bytes).map_err(|e| {
-                bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    *offset,
-                    format!("bad utf-8 {what}: {e}"),
-                )
-            })
-        }
-        let mut offset = 0u64;
-        let mut magic = [0u8; 8];
-        read(&mut reader, &mut offset, &mut magic, "magic")?;
-        if &magic != BIN_MAGIC {
-            return Err(bin_err(
-                TraceErrorKind::BadMagic,
-                0,
-                format!("bad magic {magic:?}"),
-            ));
-        }
-        let name = read_str(&mut reader, &mut offset, "program name")?;
-        let mut count = [0u8; 4];
-        read(&mut reader, &mut offset, &mut count, "object count")?;
-        let count = u32::from_le_bytes(count);
-        let mut objects = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let mut word = [0u8; 8];
-            read(&mut reader, &mut offset, &mut word, "object base")?;
-            let base = u64::from_le_bytes(word);
-            read(&mut reader, &mut offset, &mut word, "object size")?;
-            let size = u64::from_le_bytes(word);
-            let oname = read_str(&mut reader, &mut offset, "object name")?;
-            objects.push(ObjectDecl::global(oname, base, size));
-        }
+        let (mut carry, mut offset, mut header) = (Vec::new(), 0, None);
+        let keep = |h| {
+            header = Some(h);
+            false
+        };
+        pull(
+            &mut reader,
+            &mut carry,
+            &mut offset,
+            decode_bin_header,
+            keep,
+        )?;
+        let Some((name, objects)) = header else {
+            return Err(bin_truncated(0, carry.len(), true));
+        };
         Ok(BinTraceReader {
             name,
             objects,
             reader,
+            carry,
             offset,
             error: None,
         })
@@ -624,122 +753,23 @@ impl<R: BufRead> BinTraceReader<R> {
         self.error.take()
     }
 
-    /// Byte offset of the next unread record.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Fallible record pull: decode one 16-byte record word (plus an
-    /// Alloc tail, if any). `Ok(None)` at a clean EOF on a record
-    /// boundary; a stream that ends mid-record is a
-    /// [`TraceErrorKind::TruncatedRecord`] error, not EOF.
-    pub fn try_next_event(&mut self) -> Result<Option<Event>, TraceError> {
-        let mut rec = [0u8; 16];
-        let got = read_up_to(&mut self.reader, &mut rec)
-            .map_err(|e| bin_err(TraceErrorKind::Io, self.offset, format!("read error: {e}")))?;
-        if got == 0 {
-            return Ok(None);
-        }
-        if got < 16 {
-            return Err(bin_err(
-                TraceErrorKind::TruncatedRecord,
-                self.offset,
-                format!("torn record: {got} of 16 bytes"),
-            ));
-        }
-        self.offset += 16;
-        let ev = match rec[0] {
-            1 => Event::Access(decode_access(&rec)),
-            2 => Event::Compute(le_u64(&rec, 8)),
-            3 => {
-                let base = le_u64(&rec, 8);
-                let has_name = rec[1] != 0;
-                let name_len = u16::from_le_bytes([rec[2], rec[3]]) as usize;
-                let mut tail = vec![0u8; 8 + name_len];
-                let got = read_up_to(&mut self.reader, &mut tail).map_err(|e| {
-                    bin_err(TraceErrorKind::Io, self.offset, format!("read error: {e}"))
-                })?;
-                if got < tail.len() {
-                    return Err(bin_err(
-                        TraceErrorKind::TruncatedRecord,
-                        self.offset,
-                        format!("truncated alloc tail: {got} of {} bytes", tail.len()),
-                    ));
-                }
-                let mut word = [0u8; 8];
-                word.copy_from_slice(&tail[..8]);
-                let size = u64::from_le_bytes(word);
-                self.offset += tail.len() as u64;
-                let name = if has_name {
-                    Some(String::from_utf8(tail.split_off(8)).map_err(|e| {
-                        bin_err(
-                            TraceErrorKind::MalformedRecord,
-                            self.offset,
-                            format!("bad utf-8 alloc name: {e}"),
-                        )
-                    })?)
-                } else {
-                    None
-                };
-                Event::Alloc { base, size, name }
-            }
-            4 => Event::Free {
-                base: le_u64(&rec, 8),
-            },
-            5 => Event::Phase(le_u32(&rec, 4)),
-            t => {
-                return Err(bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    self.offset - 16,
-                    format!("unknown record tag {t}"),
-                ))
-            }
-        };
-        Ok(Some(ev))
-    }
-
-    /// Infallible pull for the `Program` path: stash the first error and
-    /// report end-of-program (readable via [`BinTraceReader::error`]).
-    fn read_record(&mut self) -> Option<Event> {
+    /// Hand decoded records to `sink` until it returns `false`, the
+    /// stream ends, or an error is stashed. A stream that ends
+    /// mid-record is a [`TraceErrorKind::TruncatedRecord`] error, not a
+    /// clean end.
+    fn drive(&mut self, sink: impl FnMut(Event) -> bool) {
         if self.error.is_some() {
-            return None;
+            return;
         }
-        match self.try_next_event() {
-            Ok(ev) => ev,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
-/// Decode a little-endian u64 at `at` from a record word.
-#[inline]
-fn le_u64(rec: &[u8; 16], at: usize) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&rec[at..at + 8]);
-    u64::from_le_bytes(w)
-}
-
-/// Decode a little-endian u32 at `at` from a record word.
-#[inline]
-fn le_u32(rec: &[u8; 16], at: usize) -> u32 {
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&rec[at..at + 4]);
-    u32::from_le_bytes(w)
-}
-
-#[inline]
-fn decode_access(rec: &[u8; 16]) -> MemRef {
-    MemRef {
-        addr: le_u64(rec, 8),
-        size: le_u32(rec, 4),
-        kind: if rec[1] != 0 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        },
+        let (carry, offset) = (&mut self.carry, &mut self.offset);
+        let end = pull(&mut self.reader, carry, offset, decode_bin_record, sink);
+        self.error = match end {
+            Err(e) => Some(e),
+            // The sink only stops on a record boundary: leftover bytes
+            // mean the stream ended mid-record.
+            Ok(()) if !carry.is_empty() => Some(bin_truncated(*offset, carry.len(), false)),
+            Ok(()) => None,
+        };
     }
 }
 
@@ -752,92 +782,41 @@ impl<R: BufRead> Program for BinTraceReader<R> {
         self.objects.clone()
     }
 
+    /// Stashes the first error (readable via [`BinTraceReader::error`])
+    /// and reports end-of-program.
     fn next_event(&mut self) -> Option<Event> {
-        self.read_record()
+        let mut next = None;
+        self.drive(|ev| {
+            next = Some(ev);
+            false
+        });
+        next
     }
 
-    /// Decode fixed-width records straight out of the read buffer: no
-    /// per-event `read_exact`, no enum round-trip for accesses.
     fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        if self.error.is_some() {
-            return buf.len();
-        }
-        while !buf.is_full() {
-            let avail = match self.reader.fill_buf() {
-                Ok(a) => a,
-                Err(e) => {
-                    self.error = Some(bin_err(
-                        TraceErrorKind::Io,
-                        self.offset,
-                        format!("read error: {e}"),
-                    ));
-                    break;
-                }
-            };
-            if avail.is_empty() {
-                break;
-            }
-            if avail.len() < 16 {
-                // Record straddles the buffer edge (or the stream ends on
-                // a torn record): take the slow path, which distinguishes
-                // the two and stashes a typed error for the latter.
-                match self.read_record() {
-                    Some(ev) => buf.push_event(ev),
-                    None => break,
-                }
-                continue;
-            }
-            let mut consumed = 0usize;
-            while buf.remaining() > 0 && avail.len() - consumed >= 16 {
-                // check:allow(slice is exactly 16 bytes by the loop guard)
-                let rec: &[u8; 16] = avail[consumed..consumed + 16].try_into().unwrap();
-                match rec[0] {
-                    1 => buf.push_ref(decode_access(rec)),
-                    2 => buf.push_mark(Event::Compute(le_u64(rec, 8))),
-                    4 => buf.push_mark(Event::Free {
-                        base: le_u64(rec, 8),
-                    }),
-                    5 => buf.push_mark(Event::Phase(le_u32(rec, 4))),
-                    // Alloc has a variable tail, and an unknown tag needs
-                    // a typed error: defer both to the slow path below.
-                    _ => break,
-                }
-                consumed += 16;
-            }
-            self.reader.consume(consumed);
-            self.offset += consumed as u64;
-            if consumed == 0 {
-                if buf.remaining() == 0 {
-                    break;
-                }
-                match self.read_record() {
-                    Some(ev) => buf.push_event(ev),
-                    None => break,
-                }
-            }
+        if !buf.is_full() {
+            self.drive(|ev| {
+                buf.push_event(ev);
+                !buf.is_full()
+            });
         }
         buf.len()
     }
 }
 
-/// Push-based incremental decoder for the binary (v2) trace format.
+/// The push driver: decodes a binary (v2) trace from bytes handed to it
+/// as they arrive, for sockets, where a record routinely arrives split
+/// across reads and "no bytes yet" is not end-of-stream.
 ///
-/// [`BinTraceReader`] pulls from a `BufRead`, which makes "no more bytes
-/// yet" indistinguishable from end-of-stream — fine for files, wrong for
-/// sockets, where a record routinely arrives split across `read()`
-/// calls. This decoder inverts control: callers [`push`](Self::push)
-/// whatever bytes the transport delivered (any slicing, down to one byte
-/// at a time) and drain complete events with
+/// Callers [`push`](Self::push) whatever the transport delivered (any
+/// slicing, down to one byte at a time) and drain complete events with
 /// [`next_event`](Self::next_event), which returns `Ok(None)` when the
-/// buffered bytes end mid-record — decoding resumes exactly there on the
-/// next push. Only [`finish`](Self::finish), called when the caller
-/// knows the stream is truly over, turns a dangling partial record into
-/// a [`TraceErrorKind::TruncatedRecord`] / `TruncatedHeader` error.
-///
-/// The daemon's ingress path (`cachescope serve`) is the primary user;
-/// the decode logic and error codes are identical to
-/// [`BinTraceReader`]'s, so a stream accepted here replays identically
-/// from disk.
+/// buffered bytes end mid-record; decoding resumes there on the next
+/// push. Only [`finish`](Self::finish) turns a dangling partial header
+/// or record into a `TruncatedHeader` / `TruncatedRecord` error. The
+/// serve daemon's ingest is the primary user; it shares its decoder with
+/// [`BinTraceReader`], so a stream accepted here replays identically
+/// from disk and a refused one fails there with the same error.
 #[derive(Debug, Default)]
 pub struct BinStreamDecoder {
     buf: Vec<u8>,
@@ -849,14 +828,6 @@ pub struct BinStreamDecoder {
     /// Header fields, once fully parsed.
     header: Option<(String, Vec<ObjectDecl>)>,
     error: Option<TraceError>,
-}
-
-/// Outcome of one incremental header-parse attempt.
-enum HeaderParse {
-    /// Not enough buffered bytes yet; try again after the next push.
-    NeedMore,
-    /// Header complete: name, objects, and its total encoded length.
-    Done(String, Vec<ObjectDecl>, usize),
 }
 
 impl BinStreamDecoder {
@@ -892,81 +863,6 @@ impl BinStreamDecoder {
         self.error.as_ref()
     }
 
-    fn fail(&mut self, e: TraceError) -> TraceError {
-        self.error = Some(e.clone());
-        e
-    }
-
-    /// Attempt to parse the header from the buffered prefix.
-    fn try_parse_header(&mut self) -> Result<HeaderParse, TraceError> {
-        let b = &self.buf[self.pos..];
-        if b.len() < 8 {
-            // An early mismatch is still detectable: a 3-byte prefix that
-            // already disagrees with the magic need not wait for 8 bytes.
-            if !BIN_MAGIC.starts_with(&b[..b.len().min(8)]) {
-                return Err(bin_err(
-                    TraceErrorKind::BadMagic,
-                    0,
-                    format!("bad magic {b:?}"),
-                ));
-            }
-            return Ok(HeaderParse::NeedMore);
-        }
-        if &b[..8] != BIN_MAGIC {
-            return Err(bin_err(
-                TraceErrorKind::BadMagic,
-                0,
-                format!("bad magic {:?}", &b[..8]),
-            ));
-        }
-        let mut at = 8usize;
-        let take = |at: &mut usize, n: usize| -> Option<usize> {
-            if b.len() - *at < n {
-                return None;
-            }
-            let start = *at;
-            *at += n;
-            Some(start)
-        };
-        let read_str = |at: &mut usize| -> Option<Result<String, TraceError>> {
-            let lp = take(at, 2)?;
-            let len = u16::from_le_bytes([b[lp], b[lp + 1]]) as usize;
-            let sp = take(at, len)?;
-            Some(String::from_utf8(b[sp..sp + len].to_vec()).map_err(|e| {
-                bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    *at as u64,
-                    format!("bad utf-8 header string: {e}"),
-                )
-            }))
-        };
-        let name = match read_str(&mut at) {
-            None => return Ok(HeaderParse::NeedMore),
-            Some(r) => r?,
-        };
-        let Some(cp) = take(&mut at, 4) else {
-            return Ok(HeaderParse::NeedMore);
-        };
-        let count = u32::from_le_bytes([b[cp], b[cp + 1], b[cp + 2], b[cp + 3]]);
-        let mut objects = Vec::with_capacity(count.min(4096) as usize);
-        for _ in 0..count {
-            let Some(wp) = take(&mut at, 16) else {
-                return Ok(HeaderParse::NeedMore);
-            };
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&b[wp..wp + 8]);
-            let base = u64::from_le_bytes(w);
-            w.copy_from_slice(&b[wp + 8..wp + 16]);
-            let size = u64::from_le_bytes(w);
-            let oname = match read_str(&mut at) {
-                None => return Ok(HeaderParse::NeedMore),
-                Some(r) => r?,
-            };
-            objects.push(ObjectDecl::global(oname, base, size));
-        }
-        Ok(HeaderParse::Done(name, objects, at))
-    }
-
     /// Decode the next complete event, if the buffer holds one.
     /// `Ok(None)` means "need more bytes" — never an error; a stream cut
     /// mid-record only errors through [`finish`](Self::finish).
@@ -974,72 +870,31 @@ impl BinStreamDecoder {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
+        let step = self.step();
+        if let Err(e) = &step {
+            self.error = Some(e.clone());
+        }
+        step
+    }
+
+    fn step(&mut self) -> Result<Option<Event>, TraceError> {
         if self.header.is_none() {
-            match self.try_parse_header() {
-                Ok(HeaderParse::NeedMore) => return Ok(None),
-                Ok(HeaderParse::Done(name, objects, len)) => {
-                    self.pos += len;
-                    self.consumed += len as u64;
-                    self.header = Some((name, objects));
-                }
-                Err(e) => return Err(self.fail(e)),
-            }
+            let Some((header, len)) = decode_bin_header(&self.buf[self.pos..], 0)? else {
+                return Ok(None);
+            };
+            self.header = Some(header);
+            self.advance(len);
         }
-        let b = &self.buf[self.pos..];
-        if b.len() < 16 {
+        let Some((ev, len)) = decode_bin_record(&self.buf[self.pos..], self.consumed)? else {
             return Ok(None);
-        }
-        // check:allow(slice is exactly 16 bytes by the length guard)
-        let rec: &[u8; 16] = b[..16].try_into().unwrap();
-        let mut used = 16usize;
-        let ev = match rec[0] {
-            1 => Event::Access(decode_access(rec)),
-            2 => Event::Compute(le_u64(rec, 8)),
-            3 => {
-                let base = le_u64(rec, 8);
-                let has_name = rec[1] != 0;
-                let name_len = u16::from_le_bytes([rec[2], rec[3]]) as usize;
-                let tail = 8 + name_len;
-                if b.len() < 16 + tail {
-                    return Ok(None);
-                }
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&b[16..24]);
-                let size = u64::from_le_bytes(w);
-                let name = if has_name {
-                    match String::from_utf8(b[24..24 + name_len].to_vec()) {
-                        Ok(n) => Some(n),
-                        Err(e) => {
-                            let err = bin_err(
-                                TraceErrorKind::MalformedRecord,
-                                self.consumed,
-                                format!("bad utf-8 alloc name: {e}"),
-                            );
-                            return Err(self.fail(err));
-                        }
-                    }
-                } else {
-                    None
-                };
-                used += tail;
-                Event::Alloc { base, size, name }
-            }
-            4 => Event::Free {
-                base: le_u64(rec, 8),
-            },
-            5 => Event::Phase(le_u32(rec, 4)),
-            t => {
-                let err = bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    self.consumed,
-                    format!("unknown record tag {t}"),
-                );
-                return Err(self.fail(err));
-            }
         };
-        self.pos += used;
-        self.consumed += used as u64;
+        self.advance(len);
         Ok(Some(ev))
+    }
+
+    fn advance(&mut self, len: usize) {
+        self.pos += len;
+        self.consumed += len as u64;
     }
 
     /// Declare end-of-stream. Clean only when no partial record (or
@@ -1052,18 +907,7 @@ impl BinStreamDecoder {
         if left == 0 && self.header.is_some() {
             return Ok(());
         }
-        if self.header.is_none() {
-            return Err(bin_err(
-                TraceErrorKind::TruncatedHeader,
-                self.consumed,
-                format!("stream ended inside the header ({left} trailing bytes)"),
-            ));
-        }
-        Err(bin_err(
-            TraceErrorKind::TruncatedRecord,
-            self.consumed,
-            format!("stream ended mid-record ({left} trailing bytes)"),
-        ))
+        Err(bin_truncated(self.consumed, left, self.header.is_none()))
     }
 }
 
@@ -1146,8 +990,12 @@ impl<R: BufRead> Program for AnyTraceReader<R> {
 pub fn load_eager<R: BufRead>(reader: R) -> Result<crate::program::TraceProgram, TraceError> {
     let mut tr = AnyTraceReader::open(reader)?;
     let mut events = Vec::new();
-    while let Some(ev) = tr.next_event() {
-        events.push(ev);
+    match &mut tr {
+        AnyTraceReader::Text(t) => events.extend(std::iter::from_fn(|| t.next_event())),
+        AnyTraceReader::Bin(b) => b.drive(|ev| {
+            events.push(ev);
+            true
+        }),
     }
     // The infallible Program pull stashes body errors; surface them.
     if let Some(e) = tr.take_error() {
@@ -1287,6 +1135,23 @@ mod tests {
     }
 
     #[test]
+    fn object_line_after_the_body_began_is_malformed() {
+        let text = format!("{MAGIC}\nN x\nO 10 8 a\nC 5\nO 20 8 b\n");
+        let mut tr = TraceReader::new(text.as_bytes()).unwrap();
+        assert_eq!(tr.static_objects().len(), 1);
+        assert_eq!(tr.next_event(), Some(Event::Compute(5)));
+        assert_eq!(
+            tr.line(),
+            4,
+            "the held-back first body line keeps its number"
+        );
+        assert_eq!(tr.next_event(), None);
+        let err = tr.take_error().expect("error was stashed");
+        assert_eq!(err.kind, TraceErrorKind::MalformedRecord);
+        assert_eq!(err.line, 5);
+    }
+
+    #[test]
     fn bin_torn_record_is_a_typed_error_not_eof() {
         let bin = record_to_bin(sample_program());
         // Cut the final record in half: the old reader treated this as a
@@ -1294,65 +1159,23 @@ mod tests {
         let torn = &bin[..bin.len() - 8];
         let err = load_eager(torn).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::TruncatedRecord);
-        assert!(err.message.contains("torn record"), "{err}");
-    }
-
-    #[test]
-    fn bin_truncated_alloc_tail_is_a_typed_error() {
-        let p = TraceProgram::new(
-            "t",
-            vec![],
-            vec![Event::Alloc {
-                base: 0x10,
-                size: 64,
-                name: Some("node".into()),
-            }],
-        );
-        let bin = record_to_bin(p);
-        let cut = &bin[..bin.len() - 2]; // drop the last 2 name bytes
-        let err = load_eager(cut).unwrap_err();
-        assert_eq!(err.kind, TraceErrorKind::TruncatedRecord);
-        assert!(err.message.contains("alloc tail"), "{err}");
-    }
-
-    #[test]
-    fn bin_unknown_tag_is_a_typed_error() {
-        let mut bin = record_to_bin(TraceProgram::new(
-            "t",
-            vec![],
-            vec![Event::Compute(1), Event::Compute(2)],
-        ));
-        let body = bin.len() - 32;
-        bin[body + 16] = 0xEE; // corrupt the second record's tag
-        let err = load_eager(&bin[..]).unwrap_err();
-        assert_eq!(err.kind, TraceErrorKind::MalformedRecord);
-        assert!(err.message.contains("unknown record tag 238"), "{err}");
-    }
-
-    #[test]
-    fn bin_chunked_path_reports_errors_too() {
-        let bin = record_to_bin(sample_program());
-        let torn = &bin[..bin.len() - 8];
-        let mut tr = BinTraceReader::new(torn).unwrap();
-        let mut chunk = crate::program::EventChunk::with_capacity(4096);
-        while {
-            chunk.reset();
-            tr.next_chunk(&mut chunk) > 0
-        } {}
-        let err = tr.take_error().expect("torn record stashed via chunks");
-        assert_eq!(err.kind, TraceErrorKind::TruncatedRecord);
+        assert!(err.message.contains("mid-record"), "{err}");
     }
 
     #[test]
     fn streaming_reader_works_without_eager_load() {
         let text = record_to_string(sample_program());
         let mut tr = TraceReader::new(text.as_bytes()).unwrap();
+        assert_eq!(
+            tr.static_objects().len(),
+            2,
+            "objects parsed with the header"
+        );
         let mut count = 0;
         while tr.next_event().is_some() {
             count += 1;
         }
         assert_eq!(count, sample_events().len());
-        assert_eq!(tr.static_objects().len(), 2, "objects parsed in passing");
     }
 
     fn record_to_bin(p: impl Program) -> Vec<u8> {
@@ -1413,43 +1236,6 @@ mod tests {
             AnyTraceReader::open(&bin[..]).unwrap(),
             AnyTraceReader::Bin(_)
         ));
-    }
-
-    #[test]
-    fn bin_chunked_decode_matches_event_decode() {
-        let bin = record_to_bin(sample_program());
-        let mut by_event = BinTraceReader::new(&bin[..]).unwrap();
-        let mut by_chunk = BinTraceReader::new(&bin[..]).unwrap();
-        let mut events = Vec::new();
-        while let Some(ev) = by_event.next_event() {
-            events.push(ev);
-        }
-        let mut chunked = Vec::new();
-        let mut chunk = crate::program::EventChunk::with_capacity(3);
-        loop {
-            chunk.reset();
-            if by_chunk.next_chunk(&mut chunk) == 0 {
-                break;
-            }
-            chunked.extend(chunk.to_events());
-        }
-        assert_eq!(events, chunked);
-    }
-
-    #[test]
-    fn bin_bad_magic_is_rejected() {
-        let Err(err) = BinTraceReader::new(&b"cstraceX________"[..]) else {
-            panic!("bad magic must be rejected");
-        };
-        assert!(err.message.contains("bad magic"), "{err}");
-    }
-
-    #[test]
-    fn bin_truncated_header_is_rejected() {
-        let Err(err) = BinTraceReader::new(&BIN_MAGIC[..5]) else {
-            panic!("truncated header must be rejected");
-        };
-        assert!(err.message.contains("truncated"), "{err}");
     }
 
     /// A `BufRead` that reveals the underlying bytes at most `step` at a
@@ -1589,48 +1375,122 @@ mod tests {
         assert!(dec.finish().is_err());
     }
 
-    #[test]
-    fn stream_decoder_truncated_header_reported_at_finish() {
-        let bin = record_to_bin(sample_program());
+    /// What a driver made of a stream: header, events, and the error it
+    /// ended on.
+    type Decode = (
+        Option<(String, Vec<ObjectDecl>)>,
+        Vec<Event>,
+        Option<TraceError>,
+    );
+
+    /// Decode through the `BufRead` driver, three events per chunk.
+    fn pull_all(reader: impl BufRead) -> Decode {
+        let mut tr = match BinTraceReader::new(reader) {
+            Ok(tr) => tr,
+            Err(e) => return (None, Vec::new(), Some(e)),
+        };
+        let (mut events, mut chunk) = (Vec::new(), EventChunk::with_capacity(3));
+        while tr.next_chunk(&mut chunk) > 0 {
+            events.extend(chunk.to_events());
+            chunk.reset();
+        }
+        let header = (tr.name().to_string(), tr.static_objects());
+        (Some(header), events, tr.take_error())
+    }
+
+    /// Decode through the push driver, `step` bytes per push.
+    fn push_all(bytes: &[u8], step: usize) -> Decode {
         let mut dec = BinStreamDecoder::new();
-        dec.push(&bin[..10]); // magic + part of the name length
-        assert!(dec.next_event().expect("need more").is_none());
-        let err = dec.finish().expect_err("header incomplete");
-        assert_eq!(err.kind, TraceErrorKind::TruncatedHeader);
+        let mut events = Vec::new();
+        let mut error = None;
+        'feed: for piece in bytes.chunks(step) {
+            dec.push(piece);
+            loop {
+                match dec.next_event() {
+                    Ok(Some(ev)) => events.push(ev),
+                    Ok(None) => break,
+                    Err(e) => {
+                        error = Some(e);
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        let error = error.or_else(|| dec.finish().err());
+        let header = dec.header().map(|(n, o)| (n.to_string(), o.to_vec()));
+        (header, events, error)
     }
 
     #[test]
-    fn stream_decoder_matches_reader_on_alloc_tails() {
-        // Alloc records carry a variable tail; split it every way.
-        let p = TraceProgram::new(
-            "t",
-            vec![],
-            vec![
-                Event::Alloc {
-                    base: 0x10,
-                    size: 64,
-                    name: Some("tree node".into()),
-                },
-                Event::Access(MemRef::read(0x10, 8)),
-                Event::Free { base: 0x10 },
-            ],
-        );
-        let bin = record_to_bin(p);
-        for split in 1..bin.len() {
-            let mut dec = BinStreamDecoder::new();
-            dec.push(&bin[..split]);
-            let mut got = Vec::new();
-            while let Some(ev) = dec.next_event().unwrap() {
-                got.push(ev);
+    fn both_drivers_agree_at_every_split() {
+        use std::io::Read;
+        use TraceErrorKind::*;
+        let clean = record_to_bin(sample_program());
+        let (_, header_len) = decode_bin_header(&clean, 0).unwrap().unwrap();
+        // The first Alloc ("tree node") is the fifth record.
+        let alloc = header_len + 4 * 16;
+        assert_eq!(clean[alloc], 3);
+        let corrupt = |at: usize, byte: u8| {
+            let mut b = clean.clone();
+            b[at] = byte;
+            b
+        };
+        let mut hostile = BIN_MAGIC.to_vec();
+        hostile.extend(1u16.to_le_bytes());
+        hostile.push(b'x');
+        hostile.extend(u32::MAX.to_le_bytes());
+        hostile.extend([0u8; 4]);
+        let cases: Vec<(&str, Vec<u8>, Option<TraceErrorKind>)> = vec![
+            ("clean", clean.clone(), None),
+            (
+                "bad tag",
+                corrupt(header_len + 16, 0xEE),
+                Some(MalformedRecord),
+            ),
+            (
+                "torn record",
+                clean[..clean.len() - 8].to_vec(),
+                Some(TruncatedRecord),
+            ),
+            (
+                "truncated alloc tail",
+                clean[..alloc + 20].to_vec(),
+                Some(TruncatedRecord),
+            ),
+            (
+                "bad utf-8 alloc name",
+                corrupt(alloc + 24, 0xFF),
+                Some(MalformedRecord),
+            ),
+            (
+                "bad utf-8 program name",
+                corrupt(10, 0xFF),
+                Some(MalformedRecord),
+            ),
+            (
+                "truncated header",
+                clean[..header_len - 3].to_vec(),
+                Some(TruncatedHeader),
+            ),
+            ("hostile object count", hostile, Some(TruncatedHeader)),
+            ("bad magic", b"cstraceX\0\0".to_vec(), Some(BadMagic)),
+        ];
+        for (what, bytes, kind) in &cases {
+            let want = push_all(bytes, 1);
+            assert_eq!(want.2.as_ref().map(|e| e.kind), *kind, "{what}: {want:?}");
+            for step in [2, 3, usize::MAX] {
+                assert_eq!(push_all(bytes, step), want, "{what}: push {step}");
             }
-            dec.push(&bin[split..]);
-            while let Some(ev) = dec.next_event().unwrap() {
-                got.push(ev);
+            let tiny = io::BufReader::with_capacity(1, &bytes[..]);
+            assert_eq!(pull_all(tiny), want, "{what}: 1-byte BufReader");
+            for split in 0..=bytes.len() {
+                let (head, tail) = bytes.split_at(split);
+                assert_eq!(pull_all(head.chain(tail)), want, "{what}: split {split}");
             }
-            dec.finish()
-                .unwrap_or_else(|e| panic!("split {split}: {e}"));
-            assert_eq!(got.len(), 3, "split {split}");
         }
+        let (header, events, _) = push_all(&clean, 1);
+        assert_eq!(header.unwrap().1, sample_program().static_objects());
+        assert_eq!(events, sample_events());
     }
 
     #[test]

@@ -234,7 +234,8 @@ fn main() {
             });
             let trace = cachescope::sim::tracefile::load_eager(std::io::BufReader::new(file))
                 .unwrap_or_else(|e| {
-                    eprintln!("cannot parse trace {path}: {e}");
+                    let code = cachescope::check::trace::error_code(e.kind);
+                    eprintln!("error[{code}] cannot parse trace {path}: {e}");
                     std::process::exit(1);
                 });
             replay_objects = trace.static_objects().len() as u64;
