@@ -5,7 +5,7 @@
 //! the dense access run and never decrease, the `pre_cycles` side array
 //! is either unused or exactly parallel to `refs`, accesses never hide
 //! in `marks`, and a chunk never exceeds the capacity it advertised.
-//! The engine's fused fast path assumes all of these without checking —
+//! The engine's chunked loop assumes all of these without checking —
 //! a malformed chunk corrupts attribution silently, so producers are
 //! verified here instead.
 //!

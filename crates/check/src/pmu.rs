@@ -1,9 +1,11 @@
 //! PMU configuration legality.
 //!
 //! The simulated PMU ([`cachescope_hwpm`]) enforces almost nothing at
-//! configuration time — a zero sampling period panics when armed, a
-//! too-narrow wraparound width silently aliases counts, and a region
-//! whose extent wraps the address space programs a bound below its base.
+//! configuration time — a zero sampling period panics when armed (the
+//! rule is `SamplingPeriod::check`, shared with the technique-spec
+//! parser), a too-narrow wraparound width silently aliases counts, and
+//! a region whose extent wraps the address space programs a bound below
+//! its base.
 //! These are all decidable from the configuration alone, before any
 //! simulation runs.
 //!
@@ -13,7 +15,7 @@
 //! arity vs. counter count, `CS-P006` fault knob out of range.
 
 use cachescope_campaign::Cell;
-use cachescope_core::{FaultConfig, SamplingPeriod, TechniqueConfig};
+use cachescope_core::{FaultConfig, TechniqueConfig};
 use cachescope_sim::{ObjectDecl, RunLimit};
 
 use crate::diag::Diagnostic;
@@ -58,33 +60,14 @@ pub fn check_cell(cell: &Cell, source: &str) -> Vec<Diagnostic> {
     }
     match &cell.technique {
         TechniqueConfig::None => {}
-        TechniqueConfig::Sampling(cfg) => match cfg.period {
-            SamplingPeriod::Fixed(0) => {
+        TechniqueConfig::Sampling(cfg) => {
+            if let Err(msg) = cfg.period.check() {
                 diags.push(
-                    Diagnostic::error(
-                        "CS-P003",
-                        source,
-                        format!("cell {who}: sampling period is zero"),
-                    )
-                    .with_hint("the PMU cannot arm a zero-period miss overflow"),
+                    Diagnostic::error("CS-P003", source, format!("cell {who}: {msg}"))
+                        .with_hint("the PMU arms a miss overflow only for a period of at least 1"),
                 );
             }
-            SamplingPeriod::Jittered { base, spread, .. } if spread >= base => {
-                diags.push(
-                    Diagnostic::error(
-                        "CS-P003",
-                        source,
-                        format!(
-                            "cell {who}: jittered period [{}-{spread}, {}+{spread}] can reach \
-                             zero",
-                            base, base
-                        ),
-                    )
-                    .with_hint("keep spread < base so every drawn period is positive"),
-                );
-            }
-            _ => {}
-        },
+        }
         TechniqueConfig::Search(cfg) => {
             if cell.counters < 2 {
                 diags.push(
@@ -239,6 +222,10 @@ mod tests {
         c.technique = TechniqueConfig::Sampling(SamplerConfig::fixed(0));
         assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"]);
         c.technique = TechniqueConfig::Sampling(SamplerConfig::jittered(100, 100, 1));
+        assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"]);
+        c.technique = TechniqueConfig::Sampling(SamplerConfig::with_period(
+            cachescope_core::SamplingPeriod::adaptive(f64::INFINITY),
+        ));
         assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"]);
     }
 

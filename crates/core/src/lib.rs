@@ -39,4 +39,4 @@ pub use results::{rank_delta, Estimate, ExperimentReport, ReportRow, TechniqueRe
 pub use runner::Experiment;
 pub use sampler::{Sampler, SamplerConfig, SamplingPeriod};
 pub use search::{SearchConfig, SearchStrategy, Searcher};
-pub use technique::TechniqueConfig;
+pub use technique::{SpecError, TechniqueConfig};

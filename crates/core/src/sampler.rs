@@ -46,6 +46,39 @@ pub enum SamplingPeriod {
     },
 }
 
+impl SamplingPeriod {
+    /// The self-tuning policy targeting `target_overhead_pct` percent of
+    /// execution time, from its fixed starting period and jitter seed.
+    pub fn adaptive(target_overhead_pct: f64) -> Self {
+        SamplingPeriod::Adaptive {
+            initial: 10_000,
+            target_overhead_pct,
+            seed: 0xADA7,
+        }
+    }
+
+    /// Refuse a period the PMU cannot run (diagnostic `CS-P003`): a
+    /// fixed period of 0, a jittered period whose spread reaches 0
+    /// (`spread >= base`), or an adaptive target that is not a finite
+    /// percentage above 0. The PMU arms a miss overflow only for a
+    /// period of at least 1, so every drawn period must be positive.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            SamplingPeriod::Fixed(0) => Err("sampling period is zero".to_string()),
+            SamplingPeriod::Jittered { base, spread, .. } if spread >= base => Err(format!(
+                "jittered period [{base}-{spread}, {base}+{spread}] can reach zero"
+            )),
+            SamplingPeriod::Adaptive {
+                target_overhead_pct: t,
+                ..
+            } if !(t.is_finite() && t > 0.0) => Err(format!(
+                "adaptive overhead target {t}% is not a finite percentage above zero"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Sampler configuration.
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
@@ -79,8 +112,13 @@ pub struct SamplerConfig {
 impl SamplerConfig {
     /// Sample once every `k` misses.
     pub fn fixed(k: u64) -> Self {
+        SamplerConfig::with_period(SamplingPeriod::Fixed(k))
+    }
+
+    /// The default sampler driven by `period`.
+    pub fn with_period(period: SamplingPeriod) -> Self {
         SamplerConfig {
-            period: SamplingPeriod::Fixed(k),
+            period,
             fixed_handler_cycles: 80,
             probe_cycles: 10,
             assumed_sample_cost: 9_000,
@@ -97,10 +135,7 @@ impl SamplerConfig {
 
     /// Sample with a pseudo-random interval around `base`.
     pub fn jittered(base: u64, spread: u64, seed: u64) -> Self {
-        SamplerConfig {
-            period: SamplingPeriod::Jittered { base, spread, seed },
-            ..SamplerConfig::fixed(base)
-        }
+        SamplerConfig::with_period(SamplingPeriod::Jittered { base, spread, seed })
     }
 
     /// Self-tuning sampler targeting `target_overhead_pct` percent of
@@ -110,14 +145,7 @@ impl SamplerConfig {
             target_overhead_pct > 0.0,
             "overhead target must be positive"
         );
-        SamplerConfig {
-            period: SamplingPeriod::Adaptive {
-                initial: 10_000,
-                target_overhead_pct,
-                seed: 0xADA7,
-            },
-            ..SamplerConfig::fixed(10_000)
-        }
+        SamplerConfig::with_period(SamplingPeriod::adaptive(target_overhead_pct))
     }
 
     /// Report label, e.g. `sampling(50000)`.

@@ -3,8 +3,27 @@
 use cachescope_objmap::AccessTrace;
 use cachescope_sim::{EngineCtx, MemRef};
 
-use crate::sampler::SamplerConfig;
+use crate::sampler::{SamplerConfig, SamplingPeriod};
 use crate::search::SearchConfig;
+
+/// Why [`TechniqueConfig::parse_spec`] refused a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The stable diagnostic code when the spec parsed but names a
+    /// configuration that cannot run (`CS-P003`); `None` for a spec
+    /// that does not parse.
+    pub code: Option<&'static str>,
+    pub message: String,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.code {
+            Some(code) => write!(f, "error[{code}] {}", self.message),
+            None => f.write_str(&self.message),
+        }
+    }
+}
 
 /// Which measurement technique an [`crate::Experiment`] runs.
 #[derive(Debug, Clone)]
@@ -51,36 +70,37 @@ impl TechniqueConfig {
     /// `aggregate` folds per-site heap names; `log_progress` attaches
     /// the search iteration log. The same parser backs `cachescope`
     /// batch runs and serve-session handshakes, so a spec means the same
-    /// technique everywhere.
+    /// technique everywhere. A sampling period the PMU cannot run is
+    /// refused with `CS-P003` ([`SamplingPeriod::check`]).
     pub fn parse_spec(
         spec: &str,
         interval: u64,
         aggregate: bool,
         log_progress: bool,
-    ) -> Result<Self, String> {
-        fn num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("invalid {what}: {v}"))
+    ) -> Result<Self, SpecError> {
+        fn num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, SpecError> {
+            v.parse().map_err(|_| SpecError {
+                code: None,
+                message: format!("invalid {what}: {v}"),
+            })
         }
+        let sampling = |period: SamplingPeriod| {
+            period.check().map_err(|message| SpecError {
+                code: Some("CS-P003"),
+                message,
+            })?;
+            let mut cfg = SamplerConfig::with_period(period);
+            cfg.aggregate_heap_names = aggregate;
+            Ok(TechniqueConfig::Sampling(cfg))
+        };
         match spec.split(':').collect::<Vec<_>>().as_slice() {
-            ["sampling", k] => {
-                let mut cfg = SamplerConfig::fixed(num(k, "sampling period")?);
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
-            ["adaptive", pct] => {
-                let mut cfg = SamplerConfig::adaptive(num(pct, "overhead target")?);
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
-            ["jittered", base, spread] => {
-                let mut cfg = SamplerConfig::jittered(
-                    num(base, "jitter base")?,
-                    num(spread, "jitter spread")?,
-                    0xC11,
-                );
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
+            ["sampling", k] => sampling(SamplingPeriod::Fixed(num(k, "sampling period")?)),
+            ["adaptive", pct] => sampling(SamplingPeriod::adaptive(num(pct, "overhead target")?)),
+            ["jittered", base, spread] => sampling(SamplingPeriod::Jittered {
+                base: num(base, "jitter base")?,
+                spread: num(spread, "jitter spread")?,
+                seed: 0xC11,
+            }),
             ["search"] => Ok(TechniqueConfig::Search(SearchConfig {
                 interval,
                 log_progress,
@@ -93,7 +113,10 @@ impl TechniqueConfig {
                 ..Default::default()
             })),
             ["none"] => Ok(TechniqueConfig::None),
-            _ => Err(format!("unknown technique: {spec}")),
+            _ => Err(SpecError {
+                code: None,
+                message: format!("unknown technique: {spec}"),
+            }),
         }
     }
 
@@ -178,10 +201,28 @@ mod tests {
             TechniqueConfig::None
         ));
         for bad in ["sampling", "sampling:x", "adaptive:", "search:x", "magic"] {
-            assert!(
-                TechniqueConfig::parse_spec(bad, 0, false, false).is_err(),
-                "{bad}"
-            );
+            let e = TechniqueConfig::parse_spec(bad, 0, false, false).unwrap_err();
+            assert_eq!(e.code, None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn periods_that_can_reach_zero_are_p003() {
+        for bad in [
+            "sampling:0",
+            "jittered:0:0",
+            "jittered:100:100",
+            "adaptive:0",
+            "adaptive:-1",
+            "adaptive:NaN",
+            "adaptive:inf",
+        ] {
+            let e = TechniqueConfig::parse_spec(bad, 0, false, false).unwrap_err();
+            assert_eq!(e.code, Some("CS-P003"), "{bad}");
+            assert!(e.to_string().starts_with("error[CS-P003] "), "{e}");
+        }
+        for good in ["sampling:1", "jittered:100:99", "adaptive:0.5"] {
+            assert!(TechniqueConfig::parse_spec(good, 0, false, false).is_ok());
         }
     }
 

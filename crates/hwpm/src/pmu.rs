@@ -322,23 +322,30 @@ impl Pmu {
         self.pending.is_some()
     }
 
-    /// Could this PMU latch (or already hold) an interrupt?
+    /// How far the PMU can run before an interrupt poll could matter:
+    /// `(misses, deadline)`.
     ///
-    /// `false` means the PMU is completely idle for interrupt purposes:
-    /// nothing is pending, no overflow countdown or timer is armed, and
-    /// no fault model exists that could inject a spurious latch. In that
-    /// state [`Pmu::record_miss`] and [`Pmu::check_timer`] provably
-    /// cannot change it — record_miss with no armed countdown never
-    /// latches, and there is no fault model to conjure one — so an
-    /// engine may batch per-access interrupt polls away. Any transition
-    /// back to `true` requires an explicit register write (arming), which
-    /// only handler code can perform.
+    /// * Recording fewer than `misses` further misses cannot latch an
+    ///   overflow ([`Pmu::record_miss`] only latches when the armed
+    ///   countdown reaches zero; [`Pmu::arm_miss_overflow`] refuses a
+    ///   period of 0, so an armed countdown is at least 1).
+    /// * [`Pmu::check_timer`] cannot latch for any `now < deadline`.
+    ///
+    /// An idle PMU (nothing pending, nothing armed) returns
+    /// `(u64::MAX, Cycle::MAX)`. A pending interrupt must be delivered at
+    /// the next poll, and a fault model draws from its RNG on every miss
+    /// (skid, spurious overflow), so either returns `(0, 0)`: no access
+    /// may skip its poll. Only an explicit arm, which only handler code
+    /// performs, shortens the horizon; misses and time run it down.
     #[inline]
-    pub fn can_latch(&self) -> bool {
-        self.pending.is_some()
-            || self.overflow_remaining.is_some()
-            || self.timer_deadline.is_some()
-            || self.faults.is_some()
+    pub fn horizon(&self) -> (u64, Cycle) {
+        if self.pending.is_some() || self.faults.is_some() {
+            return (0, 0);
+        }
+        (
+            self.overflow_remaining.unwrap_or(u64::MAX),
+            self.timer_deadline.unwrap_or(Cycle::MAX),
+        )
     }
 
     /// Extra virtual cycles the engine must charge before delivering the
@@ -554,22 +561,34 @@ mod tests {
     }
 
     #[test]
-    fn can_latch_tracks_armed_state() {
+    fn horizon_tracks_armed_state() {
         let mut p = pmu(1);
-        assert!(!p.can_latch());
+        assert_eq!(p.horizon(), (u64::MAX, Cycle::MAX));
         p.arm_miss_overflow(2);
-        assert!(p.can_latch());
+        assert_eq!(p.horizon(), (2, Cycle::MAX));
         p.record_miss(1);
+        assert_eq!(p.horizon(), (1, Cycle::MAX));
         p.record_miss(2);
-        assert!(p.can_latch()); // pending slot occupied
+        assert_eq!(p.horizon(), (0, 0)); // pending slot occupied
         p.take_pending();
-        assert!(!p.can_latch());
+        assert_eq!(p.horizon(), (u64::MAX, Cycle::MAX));
         p.arm_timer(10);
-        assert!(p.can_latch());
-        p.disarm_timer();
-        assert!(!p.can_latch());
+        assert_eq!(p.horizon(), (u64::MAX, 10));
+        p.check_timer(9);
+        assert!(!p.has_pending());
+        p.check_timer(10);
+        assert_eq!(p.horizon(), (0, 0));
+        p.take_pending();
+        assert_eq!(p.horizon(), (u64::MAX, Cycle::MAX));
+        // Frozen misses do not run the countdown down, so the horizon
+        // stays a valid bound across handler execution.
+        p.arm_miss_overflow(3);
+        p.freeze();
+        p.record_miss(5);
+        p.unfreeze();
+        assert_eq!(p.horizon(), (3, Cycle::MAX));
         // A fault model can inject spurious latches at any miss, so its
-        // mere presence keeps the PMU latch-capable.
+        // mere presence closes the horizon.
         let f = Pmu::with_faults(
             &PmuConfig { region_counters: 1 },
             &crate::FaultConfig {
@@ -578,7 +597,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(f.can_latch());
+        assert_eq!(f.horizon(), (0, 0));
     }
 
     #[test]

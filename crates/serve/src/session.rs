@@ -129,7 +129,7 @@ impl SessionConfig {
     /// CLI concerns; sessions never enable them).
     pub fn technique(&self) -> Result<TechniqueConfig, Refusal> {
         TechniqueConfig::parse_spec(&self.technique_spec, self.interval, false, false)
-            .map_err(|e| Refusal::new("bad_config", e, false))
+            .map_err(|e| Refusal::new(e.code.unwrap_or("bad_config"), e.message, false))
     }
 
     /// The configuration as hello-payload JSON (client side).

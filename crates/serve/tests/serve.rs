@@ -187,6 +187,28 @@ fn malformed_streams_reject_with_trace_codes_and_daemon_survives() {
 }
 
 #[test]
+fn periods_that_can_reach_zero_are_refused_at_hello() {
+    let (daemon, addr) = tcp_daemon(ServeConfig::default());
+    let trace = bin_trace(2);
+    for spec in ["sampling:0", "jittered:0:0", "adaptive:0"] {
+        let cfg = SessionConfig {
+            technique_spec: spec.to_string(),
+            ..session_config()
+        };
+        let r = expect_reject(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+        assert_eq!(r.code, "CS-P003", "{spec}: {r:?}");
+        assert!(!r.retryable, "{spec}");
+    }
+    // The daemon is still healthy: a clean submission succeeds.
+    let cfg = session_config();
+    let report = expect_report(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+    assert_eq!(report, batch_report(&trace, &cfg));
+    let summary = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!(summary.served, 1);
+    assert_eq!(summary.rejected, 3);
+}
+
+#[test]
 fn wire_violations_reject_with_v_codes() {
     use std::io::Write;
     let (daemon, addr) = tcp_daemon(ServeConfig::default());

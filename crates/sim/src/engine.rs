@@ -161,6 +161,9 @@ pub struct Engine {
     instr: Counts,
     instr_cycles: Cycle,
     interrupts: u64,
+    /// Interrupt polls taken. Tool-side: deterministic evidence of how
+    /// often the horizon let accesses run unpolled.
+    polls: u64,
     writebacks: u64,
     unmapped_misses: u64,
     timeline: Option<Timeline>,
@@ -199,6 +202,7 @@ impl Engine {
             instr: Counts::default(),
             instr_cycles: 0,
             interrupts: 0,
+            polls: 0,
             writebacks: 0,
             unmapped_misses: 0,
             timeline,
@@ -263,10 +267,10 @@ impl Engine {
     /// The engine is single-shot: it accumulates state, so create a fresh
     /// `Engine` per run when comparing configurations.
     ///
-    /// Events are pulled in chunks ([`Program::next_chunk`]) and access
-    /// runs take a batched fast path when the PMU provably cannot latch
-    /// an interrupt; results are bit-identical to [`Engine::run_scalar`]
-    /// (the retained one-event-at-a-time reference loop).
+    /// Events are pulled in chunks ([`Program::next_chunk`]) and accesses
+    /// run unpolled up to the run's horizon (see [`Pmu::horizon`]):
+    /// results are bit-identical to the one-event-at-a-time reference
+    /// loop (`run_scalar`, kept in the tests as the oracle).
     pub fn run<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
@@ -281,10 +285,11 @@ impl Engine {
         stats
     }
 
-    /// Reference execution loop: one event at a time, exactly as the
-    /// pre-batching engine ran. Kept as the semantic baseline the chunked
-    /// loop is equivalence-tested against; not used on hot paths.
-    pub fn run_scalar<P: Program + ?Sized, H: Handler + ?Sized>(
+    /// Reference execution loop: one event at a time, polling after every
+    /// event. The semantic baseline the chunked loop is equivalence-tested
+    /// against.
+    #[cfg(test)]
+    fn run_scalar<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
         handler: &mut H,
@@ -297,7 +302,7 @@ impl Engine {
             };
             match event {
                 Event::Access(r) => self.app_access(r),
-                other => self.control_event(other, handler),
+                other => self.control_event(&other, handler),
             }
             self.poll_interrupts(handler);
         }
@@ -347,17 +352,19 @@ impl Engine {
 
     /// The chunked main loop.
     ///
-    /// Equivalence to the scalar loop rests on two facts:
-    ///
-    /// 1. When [`Pmu::can_latch`] is false, the per-event
-    ///    `check_timer`/`take_pending` polls are no-ops and *stay* no-ops
-    ///    across any number of pure accesses (nothing armed, no fault
-    ///    model, and no handler runs that could arm something) — so the
-    ///    batched inner loop may skip them wholesale.
-    /// 2. [`Engine::unchecked_budget`] under-approximates how many
-    ///    accesses can run before the limit could trip, so hoisting the
-    ///    limit check out of the batched loop never overshoots the point
-    ///    where the scalar loop would have stopped.
+    /// Equivalence to the scalar loop, which checks the limit before and
+    /// polls after every event, rests on the horizon contract
+    /// ([`Engine::horizon`], built on [`Pmu::horizon`]): with `(n,
+    /// deadline)` in hand, none of the next `n - 1` accesses can latch an
+    /// overflow or reach a count limit, and no state with a clock below
+    /// `deadline` can latch the timer or reach a cycle limit. So a run of
+    /// up to `n` accesses, each admitted only while `clock + pre-compute +
+    /// worst_cycles_per_access() < deadline`, skips polls and limit checks
+    /// that would all have been no-ops. Only its last access can latch;
+    /// a latch is delivered by one poll right after it, where the scalar
+    /// loop would deliver it. Where the horizon is 0 (a pending interrupt
+    /// or a fault model) or an access could cross the deadline, the loop
+    /// takes one exact step: the scalar per-event sequence.
     ///
     /// The only externally visible difference is that the program may be
     /// pulled up to one chunk past the stop point (the unprocessed tail
@@ -370,6 +377,7 @@ impl Engine {
         limit: RunLimit,
     ) {
         let mut chunk = crate::program::EventChunk::standard();
+        let worst = self.worst_cycles_per_access();
         'outer: while !self.limit_reached(limit) {
             chunk.reset();
             if program.next_chunk(&mut chunk) == 0 {
@@ -379,70 +387,20 @@ impl Engine {
             // enclosing `engine.run` exit closes the abandoned frame.
             let sp_chunk = self.obs.profiler.enter("engine.chunk");
             let refs_len = chunk.refs.len();
-            // Whole-chunk fused path. Three conditions make it exact:
-            // the limit counts only accesses or misses (so the clock
-            // cannot trip it), nothing is armed (so no event in the
-            // chunk can latch or poll — fact 1), and the access budget
-            // *strictly* covers the chunk (so the per-event limit check
-            // cannot trip at any position, including trailing marks —
-            // fact 2). If additionally every mark is a pure Compute
-            // advance, the chunk reduces to clock bumps interleaved
-            // with accesses, with no per-event dispatch at all.
-            let clock_free_limit = matches!(
-                limit,
-                RunLimit::AppMisses(_) | RunLimit::AppAccesses(_) | RunLimit::Exhausted
-            );
-            if clock_free_limit
-                && !self.pmu.can_latch()
-                && self.unchecked_budget(limit) > refs_len as u64
-                && chunk
-                    .marks
-                    .iter()
-                    .all(|(_, m)| matches!(m, Event::Compute(_)))
-            {
-                let mut mi = 0;
-                for (i, r) in chunk.refs.iter().enumerate() {
-                    while mi < chunk.marks.len() && chunk.marks[mi].0 as usize == i {
-                        if let Event::Compute(c) = chunk.marks[mi].1 {
-                            self.clock += c;
-                        }
-                        mi += 1;
-                    }
-                    if let Some(&c) = chunk.pre_cycles.get(i) {
-                        self.clock += c;
-                    }
-                    self.app_access(*r);
-                }
-                for (_, m) in &chunk.marks[mi..] {
-                    if let Event::Compute(c) = m {
-                        self.clock += *c;
-                    }
-                }
-                self.close_chunk_span(sp_chunk);
-                continue;
-            }
             let mut i = 0; // next access to execute
             let mut mi = 0; // next control mark to execute
             loop {
-                // Control events interleaved at this position.
-                while mi < chunk.marks.len() && chunk.marks[mi].0 as usize == i {
+                // Control events interleaved at this position. The poll
+                // after one is a no-op unless something is pending or the
+                // timer is due, which the PMU's deadline covers.
+                while let Some((_, event)) = chunk.marks.get(mi).filter(|m| m.0 as usize == i) {
                     if self.limit_reached(limit) {
                         break 'outer;
                     }
-                    // Compute marks are pure clock advances; with nothing
-                    // armed the per-event poll is a proven no-op (fact 1
-                    // above), so skip the dispatch and the poll. Loop
-                    // workloads emit roughly one Compute per access, so
-                    // this shortcut carries real weight.
-                    if let Event::Compute(c) = chunk.marks[mi].1 {
-                        if !self.pmu.can_latch() {
-                            self.clock += c;
-                            mi += 1;
-                            continue;
-                        }
+                    self.control_event(event, handler);
+                    if self.clock >= self.pmu.horizon().1 {
+                        self.poll_interrupts(handler);
                     }
-                    self.control_event(chunk.marks[mi].1.clone(), handler);
-                    self.poll_interrupts(handler);
                     mi += 1;
                 }
                 if i >= refs_len {
@@ -453,34 +411,26 @@ impl Engine {
                     if self.limit_reached(limit) {
                         break 'outer;
                     }
-                    if !self.pmu.can_latch() {
-                        let budget = self.unchecked_budget(limit);
-                        // Fused pre-access computes advance the clock, so
-                        // under cycle limits the access budget no longer
-                        // bounds where the limit trips; bulk only when the
-                        // limit is clock-free or nothing is fused.
-                        if budget > 0 && (clock_free_limit || chunk.pre_cycles.is_empty()) {
-                            let n = (budget.min((run_end - i) as u64)) as usize;
-                            if chunk.pre_cycles.is_empty() {
-                                for r in &chunk.refs[i..i + n] {
-                                    self.app_access(*r);
-                                }
-                            } else {
-                                for k in i..i + n {
-                                    self.clock += chunk.pre_cycles[k];
-                                    self.app_access(chunk.refs[k]);
-                                }
+                    let (n, deadline) = self.horizon(limit);
+                    if n > 0 {
+                        let start = i;
+                        let end = i + n.min((run_end - i) as u64) as usize;
+                        i = self.run_unpolled(&chunk, start, end, deadline.saturating_sub(worst));
+                        if i > start {
+                            // Only a run's last access can latch, and only
+                            // if the run went its full length.
+                            if self.pmu.has_pending() {
+                                self.poll_interrupts(handler);
                             }
-                            i += n;
                             continue;
                         }
                     }
-                    // Slow path: the exact per-event sequence of the
-                    // scalar loop — the fused compute is its own event
-                    // (covered by the limit check above), then the access.
+                    // Exact step: the scalar loop's per-event sequence.
+                    // The fused compute is its own event, polled and
+                    // limit-checked, then the access.
                     if let Some(&c) = chunk.pre_cycles.get(i) {
                         if c > 0 {
-                            self.control_event(Event::Compute(c), handler);
+                            self.clock += c;
                             self.poll_interrupts(handler);
                             if self.limit_reached(limit) {
                                 break 'outer;
@@ -496,6 +446,34 @@ impl Engine {
         }
     }
 
+    /// Execute the chunk's accesses `start..end` (each after its fused
+    /// compute) while `clock + compute < stop`, with no poll or limit
+    /// check; returns the index of the first access not executed.
+    ///
+    /// Kept out of line and free of the program and handler types: the
+    /// hot loop compiles once, with the whole access path inlined into
+    /// it, whatever the caller.
+    #[inline(never)]
+    fn run_unpolled(
+        &mut self,
+        chunk: &crate::program::EventChunk,
+        start: usize,
+        end: usize,
+        stop: Cycle,
+    ) -> usize {
+        let refs = &chunk.refs[start..end];
+        let pre = chunk.pre_cycles.get(start..end).unwrap_or(&[]);
+        for (k, &r) in refs.iter().enumerate() {
+            let c = pre.get(k).copied().unwrap_or(0);
+            if self.clock + c >= stop {
+                return start + k;
+            }
+            self.clock += c;
+            self.app_access(r);
+        }
+        end
+    }
+
     /// Close a chunk span, folding its latency into the chunk-latency
     /// histogram (profiled runs only — the histogram must not appear in
     /// unprofiled metric snapshots, which golden gates diff).
@@ -507,27 +485,28 @@ impl Engine {
         }
     }
 
-    /// How many consecutive application accesses can run before `limit`
-    /// could possibly be reached, conservatively under-approximated from
-    /// the current counters. Processing up to this many accesses without
-    /// re-checking the limit is indistinguishable from checking before
-    /// every access.
+    /// The run's horizon: the PMU's [`Pmu::horizon`] joined with `limit`.
+    ///
+    /// `n` accesses may follow without a poll or limit check before the
+    /// last of them (each access adds at most one miss and exactly one
+    /// access, so the count limits shrink `n`). No state with a clock
+    /// below `deadline` can latch the timer or reach a cycle limit;
+    /// `AppCycles` becomes a deadline because no instrumentation cycles
+    /// accrue between polls.
     #[inline]
-    fn unchecked_budget(&self, limit: RunLimit) -> u64 {
-        match limit {
-            // Each access adds at most one miss / exactly one access.
-            RunLimit::AppMisses(n) => n.saturating_sub(self.app.misses),
-            RunLimit::AppAccesses(n) => n.saturating_sub(self.app.accesses),
-            RunLimit::Cycles(n) => n
-                .saturating_sub(self.clock)
-                .checked_div(self.worst_cycles_per_access())
-                .unwrap_or(u64::MAX),
-            RunLimit::AppCycles(n) => n
-                .saturating_sub(self.clock - self.instr_cycles)
-                .checked_div(self.worst_cycles_per_access())
-                .unwrap_or(u64::MAX),
-            RunLimit::Exhausted => u64::MAX,
+    fn horizon(&self, limit: RunLimit) -> (u64, Cycle) {
+        let (misses, timer) = self.pmu.horizon();
+        if misses == 0 {
+            return (0, 0);
         }
+        let (n, deadline) = match limit {
+            RunLimit::AppMisses(n) => (n.saturating_sub(self.app.misses), Cycle::MAX),
+            RunLimit::AppAccesses(n) => (n.saturating_sub(self.app.accesses), Cycle::MAX),
+            RunLimit::Cycles(n) => (u64::MAX, n),
+            RunLimit::AppCycles(n) => (u64::MAX, n.saturating_add(self.instr_cycles)),
+            RunLimit::Exhausted => (u64::MAX, Cycle::MAX),
+        };
+        (misses.min(n), timer.min(deadline))
     }
 
     /// Upper bound on the cycles one application access can charge.
@@ -538,13 +517,16 @@ impl Engine {
         l1 + c.hit_cycles + c.miss_penalty + c.writeback_penalty
     }
 
-    /// Execute one non-access event (the match arms of the old scalar
-    /// loop, verbatim).
-    fn control_event<H: Handler + ?Sized>(&mut self, event: Event, handler: &mut H) {
-        match event {
+    /// Execute one non-access event (the match arms of the scalar loop).
+    fn control_event<H: Handler + ?Sized>(&mut self, event: &Event, handler: &mut H) {
+        match *event {
             Event::Access(r) => self.app_access(r),
             Event::Compute(c) => self.clock += c,
-            Event::Alloc { base, size, name } => {
+            Event::Alloc {
+                base,
+                size,
+                ref name,
+            } => {
                 let display = name.clone().unwrap_or_else(|| format!("{base:#x}"));
                 match self.truth.insert(display, base, size, ObjectKind::Heap) {
                     Ok(_) => {
@@ -585,6 +567,7 @@ impl Engine {
     /// bound the cascade to keep forward progress.
     #[inline]
     fn poll_interrupts<H: Handler + ?Sized>(&mut self, handler: &mut H) {
+        self.polls += 1;
         self.pmu.check_timer(self.clock);
         let mut budget = 4;
         while budget > 0 {
@@ -610,6 +593,11 @@ impl Engine {
             .metrics
             .add("pmu.timers_latched", act.timers_latched);
         self.obs.metrics.add("pmu.frozen_misses", act.frozen_misses);
+        // Profiled runs only, like `engine.chunk_ns`: unprofiled metric
+        // snapshots are golden-gated.
+        if self.obs.profiler.is_enabled() {
+            self.obs.metrics.add("engine.polls", self.polls);
+        }
         // With a fault model active, summarize what it injected (the
         // emit also derives the hwpm.faults_injected metric). Absent a
         // model nothing is emitted, keeping fault-free runs byte-stable.
@@ -1535,13 +1523,29 @@ mod chunked_equivalence_tests {
     use crate::rng::SmallRng;
     use cachescope_hwpm::{CostModel, FaultConfig, PmuConfig};
 
+    /// What a handler saw at one interrupt: the clock, the kind and the
+    /// last-miss register.
+    type Seen = (Cycle, Interrupt, Option<Addr>);
+
     /// A handler that exercises every interrupt-latching mechanism: a
     /// periodic miss-overflow counter, a periodic timer, and handler
-    /// memory traffic through the simulated cache.
+    /// memory traffic through the simulated cache. It records what it
+    /// saw at every interrupt, so two loops can be compared on *where*
+    /// each interrupt landed, not just how many there were.
     struct BusyHandler {
-        interrupts: u64,
+        seen: Vec<Seen>,
         overflow_period: u64,
         timer_interval: Cycle,
+    }
+
+    impl BusyHandler {
+        fn new(overflow_period: u64, timer_interval: Cycle) -> Self {
+            BusyHandler {
+                seen: Vec::new(),
+                overflow_period,
+                timer_interval,
+            }
+        }
     }
 
     impl Handler for BusyHandler {
@@ -1550,8 +1554,10 @@ mod chunked_equivalence_tests {
             ctx.arm_timer_in(self.timer_interval);
         }
         fn on_interrupt(&mut self, intr: Interrupt, ctx: &mut EngineCtx) {
-            self.interrupts += 1;
-            ctx.touch_read(crate::address_space::INSTR_BASE + (self.interrupts % 64) * 64);
+            let last = ctx.last_miss_addr();
+            self.seen.push((ctx.now(), intr, last));
+            let k = self.seen.len() as u64;
+            ctx.touch_read(crate::address_space::INSTR_BASE + (k % 64) * 64);
             match intr {
                 Interrupt::MissOverflow => ctx.arm_miss_overflow(self.overflow_period),
                 Interrupt::Timer => ctx.arm_timer_in(self.timer_interval),
@@ -1631,11 +1637,14 @@ mod chunked_equivalence_tests {
         }
     }
 
-    /// The batched loop must reproduce the scalar reference loop exactly —
-    /// same stats, same interrupt count, same per-object attribution —
-    /// across randomized programs, every run limit, an active handler,
-    /// and a fault model aggressive enough that the PMU is frequently in
-    /// (and out of) the can-latch state.
+    /// The chunked loop must reproduce the scalar reference loop exactly —
+    /// same stats, same per-object attribution, and every interrupt at
+    /// the same clock with the same last-miss register — across
+    /// randomized programs, every run limit and an active handler. Each
+    /// case runs twice: fault-free, where the horizon lets accesses run
+    /// unpolled between events, and under a fault model aggressive
+    /// enough to hold the horizon at 0, where every access takes the
+    /// exact step.
     #[test]
     fn chunked_run_matches_scalar_run_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(0xC0_FFEE);
@@ -1646,40 +1655,14 @@ mod chunked_equivalence_tests {
                 ObjectDecl::global("A", 0x1000_0000, 64 * 64),
                 ObjectDecl::global("B", 0x1000_1000, 64 * 64),
             ];
-            let cfg = SimConfig {
-                cache: CacheConfig {
-                    size_bytes: 4096,
-                    line_bytes: 64,
-                    assoc: 2,
-                    hit_cycles: 1,
-                    miss_penalty: 10,
-                    writeback_penalty: if case % 2 == 0 { 30 } else { 0 },
-                    policy: Default::default(),
-                },
-                l1: (case % 3 == 0).then(|| CacheConfig {
-                    size_bytes: 256,
-                    line_bytes: 64,
-                    assoc: 2,
-                    hit_cycles: 1,
-                    miss_penalty: 0,
-                    writeback_penalty: 0,
-                    policy: Default::default(),
-                }),
-                pmu: PmuConfig { region_counters: 2 },
-                costs: CostModel {
-                    interrupt_delivery: 500,
-                    ..CostModel::free()
-                },
-                faults: FaultConfig {
-                    skid_depth: 4,
-                    skid_rate: 0.2,
-                    drop_rate: 0.1,
-                    spurious_rate: 0.05,
-                    delivery_delay_cycles: 37,
-                    seed: case as u64 + 1,
-                    ..Default::default()
-                },
-                timeline: None,
+            let faulted = FaultConfig {
+                skid_depth: 4,
+                skid_rate: 0.2,
+                drop_rate: 0.1,
+                spurious_rate: 0.05,
+                delivery_delay_cycles: 37,
+                seed: case as u64 + 1,
+                ..Default::default()
             };
             let limit = match case % 5 {
                 0 => RunLimit::Exhausted,
@@ -1688,29 +1671,50 @@ mod chunked_equivalence_tests {
                 3 => RunLimit::Cycles(rng.random_range(1_000u64..40_000)),
                 _ => RunLimit::AppCycles(rng.random_range(1_000u64..30_000)),
             };
-
-            let run = |scalar: bool| {
-                let mut p = TraceProgram::new("rand", decls.clone(), events.clone());
-                let mut h = BusyHandler {
-                    interrupts: 0,
-                    overflow_period: 13,
-                    timer_interval: 997,
+            for faults in [faulted, FaultConfig::default()] {
+                let cfg = SimConfig {
+                    cache: CacheConfig {
+                        size_bytes: 4096,
+                        line_bytes: 64,
+                        assoc: 2,
+                        hit_cycles: 1,
+                        miss_penalty: 10,
+                        writeback_penalty: if case % 2 == 0 { 30 } else { 0 },
+                        policy: Default::default(),
+                    },
+                    l1: (case % 3 == 0).then(|| CacheConfig {
+                        size_bytes: 256,
+                        line_bytes: 64,
+                        assoc: 2,
+                        hit_cycles: 1,
+                        miss_penalty: 0,
+                        writeback_penalty: 0,
+                        policy: Default::default(),
+                    }),
+                    pmu: PmuConfig { region_counters: 2 },
+                    costs: CostModel {
+                        interrupt_delivery: 500,
+                        ..CostModel::free()
+                    },
+                    faults,
+                    timeline: None,
                 };
-                let mut e = Engine::new(cfg.clone());
-                let stats = if scalar {
-                    e.run_scalar(&mut p, &mut h, limit)
-                } else {
-                    e.run(&mut p, &mut h, limit)
+                let run = |scalar: bool| {
+                    let mut p = TraceProgram::new("rand", decls.clone(), events.clone());
+                    let mut h = BusyHandler::new(13, 997);
+                    let mut e = Engine::new(cfg.clone());
+                    let stats = if scalar {
+                        e.run_scalar(&mut p, &mut h, limit)
+                    } else {
+                        e.run(&mut p, &mut h, limit)
+                    };
+                    (stats, h.seen)
                 };
-                (stats, h.interrupts)
-            };
-            let (chunked, chunked_intrs) = run(false);
-            let (scalar, scalar_intrs) = run(true);
-            assert_stats_equal(&chunked, &scalar, case);
-            assert_eq!(
-                chunked_intrs, scalar_intrs,
-                "case {case}: handler interrupts"
-            );
+                let (chunked, chunked_seen) = run(false);
+                let (scalar, scalar_seen) = run(true);
+                assert_stats_equal(&chunked, &scalar, case);
+                assert_eq!(chunked_seen, scalar_seen, "case {case}: interrupts seen");
+            }
         }
     }
 
@@ -1813,21 +1817,19 @@ mod chunked_equivalence_tests {
             };
             let run = |scalar: bool| {
                 let mut p = TraceProgram::new("churn", decls.clone(), events.clone());
-                let mut h = BusyHandler {
-                    interrupts: 0,
-                    overflow_period: 11,
-                    timer_interval: 1_201,
-                };
+                let mut h = BusyHandler::new(11, 1_201);
                 let mut e = Engine::new(cfg.clone());
-                if scalar {
+                let stats = if scalar {
                     e.run_scalar(&mut p, &mut h, limit)
                 } else {
                     e.run(&mut p, &mut h, limit)
-                }
+                };
+                (stats, h.seen)
             };
-            let chunked = run(false);
-            let scalar = run(true);
+            let (chunked, chunked_seen) = run(false);
+            let (scalar, scalar_seen) = run(true);
             assert_stats_equal(&chunked, &scalar, case);
+            assert_eq!(chunked_seen, scalar_seen, "case {case}: interrupts seen");
             // The suite only means something if churn actually dominated:
             // demand a dense allocator-event mix.
             if matches!(limit, RunLimit::Exhausted) {
@@ -1840,10 +1842,12 @@ mod chunked_equivalence_tests {
         }
     }
 
-    /// A fault-free, handler-free run takes the bulk path for nearly every
-    /// access; it too must match the scalar loop.
+    /// A fault-free, handler-free run has an unbounded horizon: every
+    /// access between control events runs unpolled, and under a cycle
+    /// limit only the accesses next to the limit take the exact step. It
+    /// too must match the scalar loop.
     #[test]
-    fn bulk_fast_path_matches_scalar_run() {
+    fn handler_free_run_matches_scalar_run() {
         let mut rng = SmallRng::seed_from_u64(0xFA57);
         let events = random_events(&mut rng, 20_000);
         let decls = vec![ObjectDecl::global("A", 0x1000_0000, 64 * 128)];
@@ -1867,6 +1871,7 @@ mod chunked_equivalence_tests {
             RunLimit::Exhausted,
             RunLimit::AppMisses(3_000),
             RunLimit::Cycles(100_000),
+            RunLimit::AppCycles(77_777),
         ] {
             let mut p1 = TraceProgram::new("rand", decls.clone(), events.clone());
             let mut p2 = TraceProgram::new("rand", decls.clone(), events.clone());
@@ -1874,6 +1879,184 @@ mod chunked_equivalence_tests {
             let b = Engine::new(cfg.clone()).run_scalar(&mut p2, &mut NullHandler, limit);
             assert_stats_equal(&a, &b, 0);
         }
+    }
+
+    /// Run `events` under both loops with a fresh handler from `make`,
+    /// assert they agree, and return the chunked run's stats and
+    /// handler.
+    fn both_loops<H: Handler>(
+        cfg: &SimConfig,
+        events: &[Event],
+        limit: RunLimit,
+        make: impl Fn() -> H,
+        seen: impl Fn(&H) -> Vec<Seen>,
+    ) -> (RunStats, Vec<Seen>) {
+        let [scalar, chunked] = [true, false].map(|scalar| {
+            let mut p = TraceProgram::new("edge", vec![], events.to_vec());
+            let mut h = make();
+            let mut e = Engine::new(cfg.clone());
+            let stats = if scalar {
+                e.run_scalar(&mut p, &mut h, limit)
+            } else {
+                e.run(&mut p, &mut h, limit)
+            };
+            (stats, seen(&h))
+        });
+        assert_stats_equal(&chunked.0, &scalar.0, 0);
+        assert_eq!(chunked.1, scalar.1, "interrupts seen");
+        chunked
+    }
+
+    /// A cache where a cold miss costs 1 + 10 cycles, with free
+    /// instrumentation.
+    fn small_cfg() -> SimConfig {
+        SimConfig {
+            cache: CacheConfig {
+                size_bytes: 4096,
+                line_bytes: 64,
+                assoc: 2,
+                hit_cycles: 1,
+                miss_penalty: 10,
+                writeback_penalty: 0,
+                policy: Default::default(),
+            },
+            l1: None,
+            pmu: PmuConfig { region_counters: 2 },
+            costs: CostModel::free(),
+            faults: Default::default(),
+            timeline: None,
+        }
+    }
+
+    /// The three places a horizon ends exactly, each pinned to the clock
+    /// and register values the scalar loop produces.
+    #[test]
+    fn horizon_boundaries_match_scalar_run() {
+        let cfg = small_cfg();
+        let line = |k: u64| 0x1000_0000 + k * 64;
+        let misses: Vec<Event> = (0..40)
+            .map(|k| Event::Access(MemRef::read(line(k), 8)))
+            .collect();
+
+        // 1. An overflow that latches on exactly the last access a
+        //    horizon allows: period 5, so each run is 5 accesses and its
+        //    last one latches. The timer is parked far away; each handler
+        //    call adds one 11-cycle instrumentation miss.
+        let (_, seen) = both_loops(
+            &cfg,
+            &misses,
+            RunLimit::Exhausted,
+            || BusyHandler::new(5, 1 << 40),
+            |h| h.seen.clone(),
+        );
+        assert_eq!(seen.len(), 8);
+        for (k, s) in seen.iter().enumerate() {
+            let k = k as u64;
+            let expect = (55 * (k + 1) + 11 * k, Interrupt::MissOverflow);
+            assert_eq!((s.0, s.1, s.2), (expect.0, expect.1, Some(line(5 * k + 4))));
+        }
+
+        // 2. A timer deadline between a fused pre-compute and its access:
+        //    each (Compute(7), access) pair advances the clock 7 then 11,
+        //    so after three pairs the clock is 54, the fourth compute
+        //    brings it to 61 and its access to 72. A deadline of 58 must
+        //    latch after that compute, before the access.
+        let fused: Vec<Event> = (0..40)
+            .flat_map(|k| [Event::Compute(7), Event::Access(MemRef::read(line(k), 8))])
+            .collect();
+        let (_, seen) = both_loops(
+            &cfg,
+            &fused,
+            RunLimit::Exhausted,
+            || BusyHandler::new(1 << 40, 58),
+            |h| h.seen.clone(),
+        );
+        assert_eq!(seen[0], (61, Interrupt::Timer, Some(line(2))));
+        // The same deadline as a cycle limit stops the run there too.
+        let (stats, _) = both_loops(
+            &cfg,
+            &fused,
+            RunLimit::Cycles(58),
+            || NullHandler,
+            |_| Vec::new(),
+        );
+        assert_eq!((stats.cycles, stats.app.accesses), (61, 3));
+
+        // 3. A handler that arms a timer that is already due: each poll
+        //    delivers a bounded cascade, leaves the rest pending, and the
+        //    next access's poll picks it up.
+        struct DueTimer {
+            seen: Vec<Seen>,
+        }
+        impl Handler for DueTimer {
+            fn init(&mut self, ctx: &mut EngineCtx) {
+                ctx.arm_timer_in(30);
+            }
+            fn on_interrupt(&mut self, intr: Interrupt, ctx: &mut EngineCtx) {
+                let last = ctx.last_miss_addr();
+                self.seen.push((ctx.now(), intr, last));
+                ctx.arm_timer_in(if self.seen.len() < 6 { 0 } else { 100 });
+            }
+        }
+        let (_, seen) = both_loops(
+            &cfg,
+            &misses,
+            RunLimit::Exhausted,
+            || DueTimer { seen: Vec::new() },
+            |h| h.seen.clone(),
+        );
+        let at = |k: usize| seen[k].0;
+        // Four deliveries in the first poll, after the third access.
+        assert_eq!([at(0), at(1), at(2), at(3)], [33; 4]);
+        // The pending fifth goes at the next access's poll, and the
+        // sixth, armed due, in the same cascade.
+        assert_eq!([at(4), at(5), at(6)], [44, 44, 154]);
+    }
+
+    /// The poll counter proves the horizon is taken: a fault-free run
+    /// with only a miss overflow armed polls once per interrupt (plus
+    /// control events), where a fault model forces a poll per access.
+    #[test]
+    fn horizon_runs_poll_once_per_interrupt() {
+        let events: Vec<Event> = (0..250_000u64)
+            .map(|k| Event::Access(MemRef::read(0x1000_0000 + k * 64, 8)))
+            .collect();
+        let marks = 0;
+        let run = |faults: FaultConfig| {
+            let mut e = Engine::new(SimConfig {
+                faults,
+                ..small_cfg()
+            });
+            e.obs_mut().profiler.set_enabled(true);
+            let mut p = TraceProgram::new("polls", vec![], events.clone());
+            let mut h = BusyHandler::new(2_000, Cycle::MAX / 2);
+            let stats = e.run(&mut p, &mut h, RunLimit::Exhausted);
+            (stats, e.obs().metrics.counter("engine.polls"))
+        };
+        let (stats, polls) = run(FaultConfig::default());
+        assert_eq!(stats.app.misses, 250_000);
+        assert_eq!(stats.interrupts, 125);
+        assert!(
+            polls <= stats.interrupts + marks + 1,
+            "{polls} polls for {} interrupts",
+            stats.interrupts
+        );
+        let (stats, polls) = run(FaultConfig {
+            skid_depth: 2,
+            skid_rate: 0.01,
+            seed: 7,
+            ..Default::default()
+        });
+        assert!(
+            polls >= stats.app.accesses,
+            "{polls} polls for {} accesses",
+            stats.app.accesses
+        );
+        // Unprofiled runs keep their metric snapshot unchanged.
+        let mut e = Engine::new(small_cfg());
+        let mut p = TraceProgram::new("polls", vec![], events[..10].to_vec());
+        e.run(&mut p, &mut NullHandler, RunLimit::Exhausted);
+        assert_eq!(e.obs().metrics.counter("engine.polls"), 0);
     }
 }
 

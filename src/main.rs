@@ -220,6 +220,9 @@ fn main() {
     let tech = TechniqueConfig::parse_spec(&technique, interval, aggregate, search_log)
         .unwrap_or_else(|e| {
             eprintln!("{e}");
+            if e.code.is_some() {
+                std::process::exit(2);
+            }
             usage();
         });
 
