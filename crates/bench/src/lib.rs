@@ -15,7 +15,6 @@
 //!
 //! Run with `cargo run --release -p cachescope-bench --bin <name>`.
 
-pub mod microbench;
 pub mod overhead;
 pub mod paper;
 pub mod results_json;

@@ -9,8 +9,97 @@
 //!
 //! Each event serializes to one JSON object (`{"type": ..., ...}`); a
 //! trace file is JSONL — one event per line.
+//!
+//! The event model is one table, the `event_table!` invocation below.
+//! Each row declares a variant, its `type` tag, its fields in rendering
+//! order and the metrics [`Obs::emit`] derives from it; the enum,
+//! [`ObsEvent::kind`], [`ObsEvent::to_json`], [`ObsEvent::KINDS`] and the
+//! metric derivation are generated from the rows.
 
 use crate::json::Json;
+use crate::Obs;
+
+/// A value that renders as one field of a JSON object.
+trait Field {
+    fn json(&self) -> Json;
+
+    /// Append `name: value` to an object's fields.
+    fn put(&self, name: &'static str, fields: &mut Vec<(&'static str, Json)>) {
+        fields.push((name, self.json()));
+    }
+}
+
+/// An object's fields, each rendered under its own name, in the order
+/// given.
+macro_rules! fields {
+    ($value:ident: $($field:ident),*) => {{
+        let mut fields = Vec::new();
+        $( $value.$field.put(stringify!($field), &mut fields); )*
+        fields
+    }};
+}
+
+impl Field for u64 {
+    fn json(&self) -> Json {
+        Json::Uint(*self)
+    }
+}
+
+impl Field for usize {
+    fn json(&self) -> Json {
+        Json::Uint(*self as u64)
+    }
+}
+
+impl Field for u32 {
+    fn json(&self) -> Json {
+        Json::Uint(u64::from(*self))
+    }
+}
+
+impl Field for bool {
+    fn json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl Field for String {
+    fn json(&self) -> Json {
+        Json::str(self.clone())
+    }
+}
+
+impl Field for &'static str {
+    fn json(&self) -> Json {
+        Json::str(*self)
+    }
+}
+
+/// `None` omits the field rather than rendering `null`.
+impl<T: Field> Field for Option<T> {
+    fn json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::json)
+    }
+
+    fn put(&self, name: &'static str, fields: &mut Vec<(&'static str, Json)>) {
+        if let Some(value) = self {
+            value.put(name, fields);
+        }
+    }
+}
+
+/// An address range renders as `[lo, hi]`.
+impl Field for (u64, u64) {
+    fn json(&self) -> Json {
+        Json::Arr(vec![self.0.json(), self.1.json()])
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(Field::json).collect())
+    }
+}
 
 /// What happened to one measured region in one search iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,13 +112,13 @@ pub enum RegionFate {
     Dropped,
 }
 
-impl RegionFate {
-    fn as_str(&self) -> &'static str {
-        match self {
+impl Field for RegionFate {
+    fn json(&self) -> Json {
+        Json::str(match self {
             RegionFate::Requeued => "requeued",
             RegionFate::RetainedZero => "retained_zero",
             RegionFate::Dropped => "dropped",
-        }
+        })
     }
 }
 
@@ -44,6 +133,12 @@ pub struct MeasuredRegion {
     /// Object name, if the region has been narrowed to one.
     pub object: Option<String>,
     pub fate: RegionFate,
+}
+
+impl Field for MeasuredRegion {
+    fn json(&self) -> Json {
+        Json::obj(fields!(self: lo, hi, count, atomic, fate, object))
+    }
 }
 
 /// One search iteration's record: what was measured and decided.
@@ -61,31 +156,10 @@ pub struct IterationRecord {
 }
 
 impl IterationRecord {
+    /// The record's fields in rendering order; the search-iteration
+    /// event renders them flat after its `type` tag.
     fn json_fields(&self) -> Vec<(&'static str, Json)> {
-        let regions = self
-            .regions
-            .iter()
-            .map(|r| {
-                let mut f = vec![
-                    ("lo", Json::Uint(r.lo)),
-                    ("hi", Json::Uint(r.hi)),
-                    ("count", Json::Uint(r.count)),
-                    ("atomic", Json::Bool(r.atomic)),
-                    ("fate", Json::str(r.fate.as_str())),
-                ];
-                if let Some(name) = &r.object {
-                    f.push(("object", Json::str(name.clone())));
-                }
-                Json::obj(f)
-            })
-            .collect();
-        vec![
-            ("now", Json::Uint(self.now)),
-            ("interval", Json::Uint(self.interval)),
-            ("total", Json::Uint(self.total)),
-            ("terminated", Json::Bool(self.terminated)),
-            ("regions", Json::Arr(regions)),
-        ]
+        fields!(self: now, interval, total, terminated, regions)
     }
 
     /// Serialize to one JSON object (no `type` tag; the event wrapper
@@ -95,710 +169,327 @@ impl IterationRecord {
     }
 }
 
-/// A typed observability event. `now` is virtual cycles.
-#[derive(Debug, Clone)]
-pub enum ObsEvent {
+/// One row's derived metrics: `none`, a counter to increment, or a block.
+macro_rules! row_metrics {
+    ($obs:ident, none) => {{}};
+    ($obs:ident, $counter:literal) => {
+        $obs.metrics.inc($counter)
+    };
+    ($obs:ident, $block:block) => {
+        $block
+    };
+}
+
+/// Generates [`ObsEvent`] and every match over it from the event table.
+/// After the identifier that names the sink in metric blocks, each row
+/// reads
+///
+/// ```text
+/// /// doc comment
+/// Variant "type_tag" { field: Type, ... } => metrics;
+/// Variant "type_tag" (binding: Payload) => metrics;
+/// ```
+///
+/// where `metrics` is `none`, a counter name, or a block over the fields
+/// (bound by reference). A row without it does not compile. Fields render
+/// in the order declared; a tuple row's payload renders its own fields
+/// flat after the tag.
+macro_rules! event_table {
+    ($obs:ident; $(
+        $(#[$doc:meta])*
+        $variant:ident $tag:literal
+        $(($payload:ident: $pty:ty))?
+        $({ $($field:ident: $fty:ty),* $(,)? })?
+        => $metrics:tt;
+    )*) => {
+        /// A typed observability event. `now` is virtual cycles.
+        #[derive(Debug, Clone)]
+        pub enum ObsEvent {
+            $( $(#[$doc])* $variant $(($pty))? $({ $($field: $fty),* })?, )*
+        }
+
+        impl ObsEvent {
+            /// Every event's `type` tag, in table order.
+            pub const KINDS: &'static [&'static str] = &[$($tag),*];
+
+            /// The event's `type` tag as it appears in JSONL.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( ObsEvent::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Serialize to one JSON object.
+            pub fn to_json(&self) -> Json {
+                let mut fields = vec![("type", Json::str(self.kind()))];
+                match self {
+                    $( ObsEvent::$variant $({ 0: $payload })? $({ $($field),* })? => {
+                        $( fields.extend($payload.json_fields()); )?
+                        $( $( $field.put(stringify!($field), &mut fields); )* )?
+                    } )*
+                }
+                Json::obj(fields)
+            }
+
+            /// Fold the event into the sink's derived metrics.
+            #[inline]
+            #[allow(unused_variables)]
+            pub(crate) fn derive_metrics(&self, $obs: &mut Obs) {
+                match self {
+                    $( ObsEvent::$variant $({ 0: $payload })? $({ $($field),* })? => {
+                        row_metrics!($obs, $metrics)
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+event_table! {
+    obs;
+
     /// An engine run began.
-    RunStart { app: String, limit: String },
+    RunStart "run_start" { app: String, limit: String } => none;
+
     /// An engine run ended (limit reached or program exhausted).
-    RunEnd {
+    RunEnd "run_end" {
         now: u64,
         app_accesses: u64,
         app_misses: u64,
         unmapped_misses: u64,
         instr_cycles: u64,
         interrupts: u64,
-    },
+    } => {
+        if *app_misses > 0 {
+            let rate = *unmapped_misses as f64 / *app_misses as f64;
+            obs.metrics.set_gauge("engine.unmapped_miss_rate", rate);
+        }
+        if *now > 0 {
+            let share = *instr_cycles as f64 / *now as f64;
+            obs.metrics.set_gauge("engine.instr_cycle_share", share);
+        }
+    };
+
     /// A PMU interrupt was delivered to the handler.
-    Interrupt { now: u64, kind: &'static str },
+    Interrupt "interrupt" { now: u64, kind: &'static str } => {
+        obs.metrics.inc(if *kind == "timer" {
+            "engine.interrupts.timer"
+        } else {
+            "engine.interrupts.miss_overflow"
+        });
+        if let Some(prev) = obs.last_interrupt_at {
+            obs.metrics.observe("engine.interrupt_interarrival_cycles", now - prev);
+        }
+        obs.last_interrupt_at = Some(*now);
+    };
+
     /// A region counter was programmed with base/bound qualification.
-    CounterProgram {
-        now: u64,
-        slot: usize,
-        lo: u64,
-        hi: u64,
-    },
+    CounterProgram "counter_program" { now: u64, slot: usize, lo: u64, hi: u64 }
+        => "pmu.counter_programs";
+
     /// A region counter was disabled.
-    CounterDisable { now: u64, slot: usize },
+    CounterDisable "counter_disable" { now: u64, slot: usize } => "pmu.counter_disables";
+
     /// The miss-overflow interrupt was armed `period` misses ahead.
-    ArmMissOverflow { now: u64, period: u64 },
+    ArmMissOverflow "arm_miss_overflow" { now: u64, period: u64 } => "pmu.arm_miss_overflow";
+
     /// The cycle timer was armed for `deadline`.
-    ArmTimer { now: u64, deadline: u64 },
+    ArmTimer "arm_timer" { now: u64, deadline: u64 } => "pmu.arm_timer";
+
     /// The sampler chose a new sampling period (`reason`:
     /// `"initial"` or `"adapt"`).
-    SamplerPeriod {
-        now: u64,
-        period: u64,
-        reason: &'static str,
-    },
+    SamplerPeriod "sampler_period" { now: u64, period: u64, reason: &'static str } => {
+        obs.metrics.inc("sampler.period_changes");
+        obs.metrics.set_gauge("sampler.period", *period as f64);
+    };
+
     /// The hardened sampler rejected an interrupt's sample (`reason`:
     /// `"spurious"` or `"repeat"`).
-    SampleRejected { now: u64, reason: &'static str },
+    SampleRejected "sample_rejected" { now: u64, reason: &'static str }
+        => "sampler.samples_rejected";
+
     /// End-of-run summary of PMU faults injected by an active fault
     /// model (fault-free runs never emit this).
-    FaultSummary {
+    FaultSummary "fault_summary" {
         skidded: u64,
         dropped: u64,
         spurious: u64,
         wrapped: u64,
         delayed: u64,
         jittered: u64,
-    },
+    } => {
+        let injected = skidded + dropped + spurious + wrapped + delayed + jittered;
+        obs.metrics.add("hwpm.faults_injected", injected);
+    };
+
     /// The hardened search re-measured an interval whose counts failed
     /// the consistency/outlier checks (`attempt` is 1-based).
-    SearchIntervalRetry {
+    SearchIntervalRetry "search_interval_retry" {
         now: u64,
         attempt: u64,
         reason: &'static str,
-    },
+    } => "search.intervals_retried";
+
     /// A technique's report flagged `count` estimates as degraded
     /// (measured under contaminated intervals) instead of silently
     /// mis-ranking them.
-    ReportDegraded { count: u64 },
+    ReportDegraded "report_degraded" { count: u64 } => {
+        obs.metrics.add("report.degraded", *count);
+    };
+
     /// A campaign cell's cache entry existed but was corrupt or stale;
     /// it was treated as a miss and re-simulated.
-    CellCacheCorrupt { index: u64, hash: String },
+    CellCacheCorrupt "cell_cache_corrupt" { index: u64, hash: String }
+        => "campaign.cache_corrupt";
+
     /// One full measure → rank → split iteration of the n-way search.
-    SearchIteration(IterationRecord),
+    SearchIteration "search_iteration" (it: IterationRecord) => {
+        obs.metrics.inc("search.iterations");
+        for r in &it.regions {
+            obs.metrics.inc(match r.fate {
+                RegionFate::Requeued => "search.regions_requeued",
+                RegionFate::RetainedZero => "search.regions_retained_zero",
+                RegionFate::Dropped => "search.regions_dropped",
+            });
+        }
+    };
+
     /// A region was split into children (snapped to object extents), or
     /// found to be atomic.
-    RegionSplit {
+    RegionSplit "region_split" {
         now: u64,
         lo: u64,
         hi: u64,
         children: Vec<(u64, u64)>,
         became_atomic: bool,
-    },
+    } => {
+        if *became_atomic {
+            obs.metrics.inc("search.regions_became_atomic");
+        } else {
+            obs.metrics.inc("search.splits");
+            obs.metrics.observe("search.split_region_bytes", hi - lo);
+        }
+    };
+
     /// The search entered its final re-measurement phase over `regions`
     /// found objects.
-    SearchFinal { now: u64, regions: usize },
+    SearchFinal "search_final" { now: u64, regions: usize } => "search.final_phases";
+
     /// The program allocated a heap block (instrumented `malloc`).
-    Alloc {
-        now: u64,
-        base: u64,
-        size: u64,
-        name: Option<String>,
-    },
+    Alloc "alloc" { now: u64, base: u64, size: u64, name: Option<String> } => "program.allocs";
+
     /// The program freed a heap block.
-    Free { now: u64, base: u64 },
+    Free "free" { now: u64, base: u64 } => "program.frees";
+
     /// The program entered a new phase.
-    PhaseMarker { now: u64, id: u32 },
+    PhaseMarker "phase" { now: u64, id: u32 } => "program.phase_markers";
+
     /// A run's event stream was recorded to a trace file.
-    TraceRecord { path: String, events: u64 },
+    TraceRecord "trace_record" { path: String, events: u64 } => none;
+
     /// A program was replayed from a trace file.
-    TraceReplay { path: String, objects: u64 },
+    TraceReplay "trace_replay" { path: String, objects: u64 } => none;
+
     /// A campaign began: `cells` is the expanded matrix size.
-    CampaignStart { name: String, cells: u64 },
+    CampaignStart "campaign_start" { name: String, cells: u64 } => {
+        obs.metrics.set_gauge("campaign.cells", *cells as f64);
+    };
+
     /// A cell's cached result was reused; no simulation executed.
-    CellCacheHit { index: u64, hash: String },
+    CellCacheHit "cell_cache_hit" { index: u64, hash: String } => "campaign.cache_hits";
+
     /// A cell's simulation started (cache miss).
-    CellStart {
-        index: u64,
-        hash: String,
-        workload: String,
-        label: String,
-    },
+    CellStart "cell_start" { index: u64, hash: String, workload: String, label: String }
+        => "campaign.cell_starts";
+
     /// A cell's simulation finished and its result was cached.
-    CellFinish { index: u64, hash: String },
+    CellFinish "cell_finish" { index: u64, hash: String } => "campaign.cells_completed";
+
     /// A cell's simulation panicked and will be retried.
-    CellRetry {
-        index: u64,
-        hash: String,
-        attempt: u64,
-        error: String,
-    },
+    CellRetry "cell_retry" { index: u64, hash: String, attempt: u64, error: String }
+        => "campaign.retries";
+
     /// A cell's simulation panicked with no retries left; the campaign
     /// continues without it.
-    CellPanic {
-        index: u64,
-        hash: String,
-        error: String,
-    },
+    CellPanic "cell_panic" { index: u64, hash: String, error: String } => "campaign.panics";
+
     /// A campaign finished (all cells resolved or failed).
-    CampaignEnd {
-        name: String,
-        completed: u64,
-        cache_hits: u64,
-        failed: u64,
-    },
+    CampaignEnd "campaign_end" { name: String, completed: u64, cache_hits: u64, failed: u64 }
+        => none;
+
     /// The static checker (`cachescope check`) reported a diagnostic.
     /// `file` names the checked input (a path, workload, or source file);
     /// `line` is 0 when the input has no line structure.
-    CheckDiagnostic {
+    CheckDiagnostic "check_diagnostic" {
         code: String,
         severity: &'static str,
         file: String,
         line: u64,
         message: String,
-    },
+    } => {
+        obs.metrics.inc("check.diagnostics");
+        if *severity == "error" {
+            obs.metrics.inc("check.errors");
+        }
+    };
+
     /// The serve daemon admitted a client session.
-    SessionStart { id: u64, peer: String },
+    SessionStart "session_start" { id: u64, peer: String } => "serve.sessions";
+
     /// The serve daemon rejected a session (admission, validation, or
     /// budget). `code` is a stable reason ("busy", "draining",
     /// "byte_budget", or a CS-V*/CS-T*/CS-C* diagnostic code).
-    SessionReject {
-        id: u64,
-        code: String,
-        reason: String,
-    },
+    SessionReject "session_reject" { id: u64, code: String, reason: String } => "serve.rejects";
+
     /// A session's attribution simulation started (dedup miss). `hash`
     /// is the content hash over the trace bytes plus configuration.
-    SessionSimStart { id: u64, hash: String },
+    SessionSimStart "session_sim_start" { id: u64, hash: String } => "serve.sim_starts";
+
     /// A session's report was served without simulating: `source` is
     /// `"inflight"` (piggybacked on a running identical session) or
     /// `"disk"` (content-addressed cache hit).
-    SessionDedup {
-        id: u64,
-        hash: String,
-        source: &'static str,
-    },
+    SessionDedup "session_dedup" { id: u64, hash: String, source: &'static str }
+        => "serve.dedup_hits";
+
     /// A session completed and its report was sent. `ms` is wall-clock
     /// from admission to report write.
-    SessionEnd {
-        id: u64,
-        bytes: u64,
-        events: u64,
-        ms: u64,
-    },
+    SessionEnd "session_end" { id: u64, bytes: u64, events: u64, ms: u64 } => {
+        obs.metrics.inc("serve.sessions_served");
+        obs.metrics.add("serve.bytes_in", *bytes);
+        obs.metrics.observe("serve.session_ms", *ms);
+    };
+
     /// The daemon began draining: finishing `active` in-flight sessions,
     /// refusing new ones.
-    ServeDrain { active: u64 },
+    ServeDrain "serve_drain" { active: u64 } => {
+        obs.metrics.set_gauge("serve.drain_active", *active as f64);
+    };
+
     /// The daemon stopped after serving `served` and rejecting
     /// `rejected` sessions.
-    ServeStop { served: u64, rejected: u64 },
+    ServeStop "serve_stop" { served: u64, rejected: u64 } => "serve.stops";
+
     /// A fuzz scenario entered the differential harness.
-    FuzzScenario {
-        name: String,
-        seed: u64,
-        budget_refs: u64,
-    },
+    FuzzScenario "fuzz_scenario" { name: String, seed: u64, budget_refs: u64 }
+        => "fuzz.scenarios";
+
     /// A hardened technique's top-k ranking inverted versus ground truth
     /// without the degraded flag — a silent-degradation bug.
-    FuzzSilentInversion {
+    FuzzSilentInversion "fuzz_silent_inversion" {
         scenario: String,
         technique: String,
         level: String,
         inversions: u64,
-    },
+    } => "fuzz.silent_inversions";
+
     /// One accepted shrink step of the delta-debugging minimizer.
-    FuzzMinimizeStep {
-        scenario: String,
-        action: String,
-        refs: u64,
-    },
-}
-
-impl ObsEvent {
-    /// The event's `type` tag as it appears in JSONL.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ObsEvent::RunStart { .. } => "run_start",
-            ObsEvent::RunEnd { .. } => "run_end",
-            ObsEvent::Interrupt { .. } => "interrupt",
-            ObsEvent::CounterProgram { .. } => "counter_program",
-            ObsEvent::CounterDisable { .. } => "counter_disable",
-            ObsEvent::ArmMissOverflow { .. } => "arm_miss_overflow",
-            ObsEvent::ArmTimer { .. } => "arm_timer",
-            ObsEvent::SamplerPeriod { .. } => "sampler_period",
-            ObsEvent::SampleRejected { .. } => "sample_rejected",
-            ObsEvent::FaultSummary { .. } => "fault_summary",
-            ObsEvent::SearchIntervalRetry { .. } => "search_interval_retry",
-            ObsEvent::ReportDegraded { .. } => "report_degraded",
-            ObsEvent::CellCacheCorrupt { .. } => "cell_cache_corrupt",
-            ObsEvent::SearchIteration(_) => "search_iteration",
-            ObsEvent::RegionSplit { .. } => "region_split",
-            ObsEvent::SearchFinal { .. } => "search_final",
-            ObsEvent::Alloc { .. } => "alloc",
-            ObsEvent::Free { .. } => "free",
-            ObsEvent::PhaseMarker { .. } => "phase",
-            ObsEvent::TraceRecord { .. } => "trace_record",
-            ObsEvent::TraceReplay { .. } => "trace_replay",
-            ObsEvent::CampaignStart { .. } => "campaign_start",
-            ObsEvent::CellCacheHit { .. } => "cell_cache_hit",
-            ObsEvent::CellStart { .. } => "cell_start",
-            ObsEvent::CellFinish { .. } => "cell_finish",
-            ObsEvent::CellRetry { .. } => "cell_retry",
-            ObsEvent::CellPanic { .. } => "cell_panic",
-            ObsEvent::CampaignEnd { .. } => "campaign_end",
-            ObsEvent::CheckDiagnostic { .. } => "check_diagnostic",
-            ObsEvent::SessionStart { .. } => "session_start",
-            ObsEvent::SessionReject { .. } => "session_reject",
-            ObsEvent::SessionSimStart { .. } => "session_sim_start",
-            ObsEvent::SessionDedup { .. } => "session_dedup",
-            ObsEvent::SessionEnd { .. } => "session_end",
-            ObsEvent::ServeDrain { .. } => "serve_drain",
-            ObsEvent::ServeStop { .. } => "serve_stop",
-            ObsEvent::FuzzScenario { .. } => "fuzz_scenario",
-            ObsEvent::FuzzSilentInversion { .. } => "fuzz_silent_inversion",
-            ObsEvent::FuzzMinimizeStep { .. } => "fuzz_minimize_step",
-        }
-    }
-
-    /// Serialize to one JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(&str, Json)> = vec![("type", Json::str(self.kind()))];
-        match self {
-            ObsEvent::RunStart { app, limit } => {
-                fields.push(("app", Json::str(app.clone())));
-                fields.push(("limit", Json::str(limit.clone())));
-            }
-            ObsEvent::RunEnd {
-                now,
-                app_accesses,
-                app_misses,
-                unmapped_misses,
-                instr_cycles,
-                interrupts,
-            } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("app_accesses", Json::Uint(*app_accesses)));
-                fields.push(("app_misses", Json::Uint(*app_misses)));
-                fields.push(("unmapped_misses", Json::Uint(*unmapped_misses)));
-                fields.push(("instr_cycles", Json::Uint(*instr_cycles)));
-                fields.push(("interrupts", Json::Uint(*interrupts)));
-            }
-            ObsEvent::Interrupt { now, kind } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("kind", Json::str(*kind)));
-            }
-            ObsEvent::CounterProgram { now, slot, lo, hi } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("slot", Json::Uint(*slot as u64)));
-                fields.push(("lo", Json::Uint(*lo)));
-                fields.push(("hi", Json::Uint(*hi)));
-            }
-            ObsEvent::CounterDisable { now, slot } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("slot", Json::Uint(*slot as u64)));
-            }
-            ObsEvent::ArmMissOverflow { now, period } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("period", Json::Uint(*period)));
-            }
-            ObsEvent::ArmTimer { now, deadline } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("deadline", Json::Uint(*deadline)));
-            }
-            ObsEvent::SamplerPeriod {
-                now,
-                period,
-                reason,
-            } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("period", Json::Uint(*period)));
-                fields.push(("reason", Json::str(*reason)));
-            }
-            ObsEvent::SampleRejected { now, reason } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("reason", Json::str(*reason)));
-            }
-            ObsEvent::FaultSummary {
-                skidded,
-                dropped,
-                spurious,
-                wrapped,
-                delayed,
-                jittered,
-            } => {
-                fields.push(("skidded", Json::Uint(*skidded)));
-                fields.push(("dropped", Json::Uint(*dropped)));
-                fields.push(("spurious", Json::Uint(*spurious)));
-                fields.push(("wrapped", Json::Uint(*wrapped)));
-                fields.push(("delayed", Json::Uint(*delayed)));
-                fields.push(("jittered", Json::Uint(*jittered)));
-            }
-            ObsEvent::SearchIntervalRetry {
-                now,
-                attempt,
-                reason,
-            } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("attempt", Json::Uint(*attempt)));
-                fields.push(("reason", Json::str(*reason)));
-            }
-            ObsEvent::ReportDegraded { count } => {
-                fields.push(("count", Json::Uint(*count)));
-            }
-            ObsEvent::CellCacheCorrupt { index, hash } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-            }
-            ObsEvent::SearchIteration(it) => {
-                fields.extend(it.json_fields());
-            }
-            ObsEvent::RegionSplit {
-                now,
-                lo,
-                hi,
-                children,
-                became_atomic,
-            } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("lo", Json::Uint(*lo)));
-                fields.push(("hi", Json::Uint(*hi)));
-                fields.push((
-                    "children",
-                    Json::Arr(
-                        children
-                            .iter()
-                            .map(|&(lo, hi)| Json::Arr(vec![Json::Uint(lo), Json::Uint(hi)]))
-                            .collect(),
-                    ),
-                ));
-                fields.push(("became_atomic", Json::Bool(*became_atomic)));
-            }
-            ObsEvent::SearchFinal { now, regions } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("regions", Json::Uint(*regions as u64)));
-            }
-            ObsEvent::Alloc {
-                now,
-                base,
-                size,
-                name,
-            } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("base", Json::Uint(*base)));
-                fields.push(("size", Json::Uint(*size)));
-                if let Some(name) = name {
-                    fields.push(("name", Json::str(name.clone())));
-                }
-            }
-            ObsEvent::Free { now, base } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("base", Json::Uint(*base)));
-            }
-            ObsEvent::PhaseMarker { now, id } => {
-                fields.push(("now", Json::Uint(*now)));
-                fields.push(("id", Json::Uint(u64::from(*id))));
-            }
-            ObsEvent::TraceRecord { path, events } => {
-                fields.push(("path", Json::str(path.clone())));
-                fields.push(("events", Json::Uint(*events)));
-            }
-            ObsEvent::TraceReplay { path, objects } => {
-                fields.push(("path", Json::str(path.clone())));
-                fields.push(("objects", Json::Uint(*objects)));
-            }
-            ObsEvent::CampaignStart { name, cells } => {
-                fields.push(("name", Json::str(name.clone())));
-                fields.push(("cells", Json::Uint(*cells)));
-            }
-            ObsEvent::CellCacheHit { index, hash } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-            }
-            ObsEvent::CellStart {
-                index,
-                hash,
-                workload,
-                label,
-            } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-                fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("label", Json::str(label.clone())));
-            }
-            ObsEvent::CellFinish { index, hash } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-            }
-            ObsEvent::CellRetry {
-                index,
-                hash,
-                attempt,
-                error,
-            } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-                fields.push(("attempt", Json::Uint(*attempt)));
-                fields.push(("error", Json::str(error.clone())));
-            }
-            ObsEvent::CellPanic { index, hash, error } => {
-                fields.push(("index", Json::Uint(*index)));
-                fields.push(("hash", Json::str(hash.clone())));
-                fields.push(("error", Json::str(error.clone())));
-            }
-            ObsEvent::CampaignEnd {
-                name,
-                completed,
-                cache_hits,
-                failed,
-            } => {
-                fields.push(("name", Json::str(name.clone())));
-                fields.push(("completed", Json::Uint(*completed)));
-                fields.push(("cache_hits", Json::Uint(*cache_hits)));
-                fields.push(("failed", Json::Uint(*failed)));
-            }
-            ObsEvent::CheckDiagnostic {
-                code,
-                severity,
-                file,
-                line,
-                message,
-            } => {
-                fields.push(("code", Json::str(code.clone())));
-                fields.push(("severity", Json::str(*severity)));
-                fields.push(("file", Json::str(file.clone())));
-                fields.push(("line", Json::Uint(*line)));
-                fields.push(("message", Json::str(message.clone())));
-            }
-            ObsEvent::SessionStart { id, peer } => {
-                fields.push(("id", Json::Uint(*id)));
-                fields.push(("peer", Json::str(peer.clone())));
-            }
-            ObsEvent::SessionReject { id, code, reason } => {
-                fields.push(("id", Json::Uint(*id)));
-                fields.push(("code", Json::str(code.clone())));
-                fields.push(("reason", Json::str(reason.clone())));
-            }
-            ObsEvent::SessionSimStart { id, hash } => {
-                fields.push(("id", Json::Uint(*id)));
-                fields.push(("hash", Json::str(hash.clone())));
-            }
-            ObsEvent::SessionDedup { id, hash, source } => {
-                fields.push(("id", Json::Uint(*id)));
-                fields.push(("hash", Json::str(hash.clone())));
-                fields.push(("source", Json::str(*source)));
-            }
-            ObsEvent::SessionEnd {
-                id,
-                bytes,
-                events,
-                ms,
-            } => {
-                fields.push(("id", Json::Uint(*id)));
-                fields.push(("bytes", Json::Uint(*bytes)));
-                fields.push(("events", Json::Uint(*events)));
-                fields.push(("ms", Json::Uint(*ms)));
-            }
-            ObsEvent::ServeDrain { active } => {
-                fields.push(("active", Json::Uint(*active)));
-            }
-            ObsEvent::ServeStop { served, rejected } => {
-                fields.push(("served", Json::Uint(*served)));
-                fields.push(("rejected", Json::Uint(*rejected)));
-            }
-            ObsEvent::FuzzScenario {
-                name,
-                seed,
-                budget_refs,
-            } => {
-                fields.push(("name", Json::str(name.clone())));
-                fields.push(("seed", Json::Uint(*seed)));
-                fields.push(("budget_refs", Json::Uint(*budget_refs)));
-            }
-            ObsEvent::FuzzSilentInversion {
-                scenario,
-                technique,
-                level,
-                inversions,
-            } => {
-                fields.push(("scenario", Json::str(scenario.clone())));
-                fields.push(("technique", Json::str(technique.clone())));
-                fields.push(("level", Json::str(level.clone())));
-                fields.push(("inversions", Json::Uint(*inversions)));
-            }
-            ObsEvent::FuzzMinimizeStep {
-                scenario,
-                action,
-                refs,
-            } => {
-                fields.push(("scenario", Json::str(scenario.clone())));
-                fields.push(("action", Json::str(action.clone())));
-                fields.push(("refs", Json::Uint(*refs)));
-            }
-        }
-        Json::obj(fields)
-    }
+    FuzzMinimizeStep "fuzz_minimize_step" { scenario: String, action: String, refs: u64 }
+        => "fuzz.minimize_steps";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
-
-    #[test]
-    fn every_event_serializes_to_a_tagged_object() {
-        let events = vec![
-            ObsEvent::RunStart {
-                app: "tomcatv".into(),
-                limit: "AppMisses(100)".into(),
-            },
-            ObsEvent::RunEnd {
-                now: 9,
-                app_accesses: 8,
-                app_misses: 7,
-                unmapped_misses: 0,
-                instr_cycles: 6,
-                interrupts: 5,
-            },
-            ObsEvent::Interrupt {
-                now: 1,
-                kind: "miss_overflow",
-            },
-            ObsEvent::CounterProgram {
-                now: 2,
-                slot: 0,
-                lo: 16,
-                hi: 32,
-            },
-            ObsEvent::CounterDisable { now: 3, slot: 1 },
-            ObsEvent::ArmMissOverflow {
-                now: 4,
-                period: 1000,
-            },
-            ObsEvent::ArmTimer {
-                now: 5,
-                deadline: 99,
-            },
-            ObsEvent::SamplerPeriod {
-                now: 6,
-                period: 500,
-                reason: "adapt",
-            },
-            ObsEvent::SampleRejected {
-                now: 6,
-                reason: "spurious",
-            },
-            ObsEvent::FaultSummary {
-                skidded: 1,
-                dropped: 2,
-                spurious: 3,
-                wrapped: 4,
-                delayed: 5,
-                jittered: 6,
-            },
-            ObsEvent::SearchIntervalRetry {
-                now: 7,
-                attempt: 1,
-                reason: "inconsistent",
-            },
-            ObsEvent::ReportDegraded { count: 2 },
-            ObsEvent::CellCacheCorrupt {
-                index: 3,
-                hash: "deadbeefdeadbeef".into(),
-            },
-            ObsEvent::SearchIteration(IterationRecord {
-                now: 7,
-                interval: 100,
-                total: 50,
-                regions: vec![MeasuredRegion {
-                    lo: 0,
-                    hi: 64,
-                    count: 50,
-                    atomic: true,
-                    object: Some("A".into()),
-                    fate: RegionFate::Requeued,
-                }],
-                terminated: true,
-            }),
-            ObsEvent::RegionSplit {
-                now: 8,
-                lo: 0,
-                hi: 128,
-                children: vec![(0, 64), (64, 128)],
-                became_atomic: false,
-            },
-            ObsEvent::SearchFinal { now: 9, regions: 3 },
-            ObsEvent::Alloc {
-                now: 10,
-                base: 4096,
-                size: 64,
-                name: None,
-            },
-            ObsEvent::Free {
-                now: 11,
-                base: 4096,
-            },
-            ObsEvent::PhaseMarker { now: 12, id: 2 },
-            ObsEvent::TraceRecord {
-                path: "t.trace".into(),
-                events: 42,
-            },
-            ObsEvent::TraceReplay {
-                path: "t.trace".into(),
-                objects: 3,
-            },
-            ObsEvent::CampaignStart {
-                name: "table1".into(),
-                cells: 14,
-            },
-            ObsEvent::CellCacheHit {
-                index: 0,
-                hash: "deadbeefdeadbeef".into(),
-            },
-            ObsEvent::CellStart {
-                index: 1,
-                hash: "deadbeefdeadbeef".into(),
-                workload: "tomcatv".into(),
-                label: "sample".into(),
-            },
-            ObsEvent::CellFinish {
-                index: 1,
-                hash: "deadbeefdeadbeef".into(),
-            },
-            ObsEvent::CellRetry {
-                index: 2,
-                hash: "deadbeefdeadbeef".into(),
-                attempt: 1,
-                error: "boom".into(),
-            },
-            ObsEvent::CellPanic {
-                index: 2,
-                hash: "deadbeefdeadbeef".into(),
-                error: "boom".into(),
-            },
-            ObsEvent::CampaignEnd {
-                name: "table1".into(),
-                completed: 13,
-                cache_hits: 5,
-                failed: 1,
-            },
-            ObsEvent::CheckDiagnostic {
-                code: "CS-W001".into(),
-                severity: "error",
-                file: "t.trace".into(),
-                line: 12,
-                message: "double alloc".into(),
-            },
-            ObsEvent::SessionStart {
-                id: 1,
-                peer: "unix".into(),
-            },
-            ObsEvent::SessionReject {
-                id: 2,
-                code: "busy".into(),
-                reason: "8 sessions active".into(),
-            },
-            ObsEvent::SessionSimStart {
-                id: 1,
-                hash: "deadbeefdeadbeef".into(),
-            },
-            ObsEvent::SessionDedup {
-                id: 3,
-                hash: "deadbeefdeadbeef".into(),
-                source: "inflight",
-            },
-            ObsEvent::SessionEnd {
-                id: 1,
-                bytes: 4096,
-                events: 100,
-                ms: 12,
-            },
-            ObsEvent::ServeDrain { active: 2 },
-            ObsEvent::ServeStop {
-                served: 10,
-                rejected: 1,
-            },
-        ];
-        for ev in events {
-            let j = ev.to_json();
-            // Valid JSON that round-trips and carries the type tag.
-            let parsed = json::parse(&j.render()).expect("valid json");
-            assert_eq!(parsed.get("type").unwrap().as_str(), Some(ev.kind()));
-        }
-    }
 
     #[test]
     fn search_iteration_carries_region_decisions() {

@@ -43,7 +43,7 @@ pub use span::{Profiler, SpanGuard, SpanId, SpanRecord};
 pub struct Obs {
     /// When `false`, [`Obs::emit`] is a single inlined branch and the
     /// sink records nothing — the hot path pays one predictable-taken
-    /// test per event instead of a call into the match below.
+    /// test per event instead of a call into the metric derivation.
     enabled: bool,
     events: Vec<ObsEvent>,
     /// The metrics registry. Layers may record directly (e.g. the
@@ -108,124 +108,7 @@ impl Obs {
 
     fn emit_enabled(&mut self, ev: ObsEvent) {
         self.metrics.inc("obs.events");
-        match &ev {
-            ObsEvent::Interrupt { now, kind } => {
-                match *kind {
-                    "timer" => self.metrics.inc("engine.interrupts.timer"),
-                    _ => self.metrics.inc("engine.interrupts.miss_overflow"),
-                }
-                if let Some(prev) = self.last_interrupt_at {
-                    self.metrics
-                        .observe("engine.interrupt_interarrival_cycles", now - prev);
-                }
-                self.last_interrupt_at = Some(*now);
-            }
-            ObsEvent::CounterProgram { .. } => self.metrics.inc("pmu.counter_programs"),
-            ObsEvent::CounterDisable { .. } => self.metrics.inc("pmu.counter_disables"),
-            ObsEvent::ArmMissOverflow { .. } => self.metrics.inc("pmu.arm_miss_overflow"),
-            ObsEvent::ArmTimer { .. } => self.metrics.inc("pmu.arm_timer"),
-            ObsEvent::SamplerPeriod { period, .. } => {
-                self.metrics.inc("sampler.period_changes");
-                self.metrics.set_gauge("sampler.period", *period as f64);
-            }
-            ObsEvent::SampleRejected { .. } => self.metrics.inc("sampler.samples_rejected"),
-            ObsEvent::FaultSummary {
-                skidded,
-                dropped,
-                spurious,
-                wrapped,
-                delayed,
-                jittered,
-            } => {
-                self.metrics.add(
-                    "hwpm.faults_injected",
-                    skidded + dropped + spurious + wrapped + delayed + jittered,
-                );
-            }
-            ObsEvent::SearchIntervalRetry { .. } => self.metrics.inc("search.intervals_retried"),
-            ObsEvent::ReportDegraded { count } => self.metrics.add("report.degraded", *count),
-            ObsEvent::CellCacheCorrupt { .. } => self.metrics.inc("campaign.cache_corrupt"),
-            ObsEvent::SearchIteration(it) => {
-                self.metrics.inc("search.iterations");
-                for r in &it.regions {
-                    match r.fate {
-                        RegionFate::Requeued => self.metrics.inc("search.regions_requeued"),
-                        RegionFate::RetainedZero => {
-                            self.metrics.inc("search.regions_retained_zero")
-                        }
-                        RegionFate::Dropped => self.metrics.inc("search.regions_dropped"),
-                    }
-                }
-            }
-            ObsEvent::RegionSplit {
-                lo,
-                hi,
-                became_atomic,
-                ..
-            } => {
-                if *became_atomic {
-                    self.metrics.inc("search.regions_became_atomic");
-                } else {
-                    self.metrics.inc("search.splits");
-                    self.metrics.observe("search.split_region_bytes", hi - lo);
-                }
-            }
-            ObsEvent::SearchFinal { .. } => self.metrics.inc("search.final_phases"),
-            ObsEvent::Alloc { .. } => self.metrics.inc("program.allocs"),
-            ObsEvent::Free { .. } => self.metrics.inc("program.frees"),
-            ObsEvent::PhaseMarker { .. } => self.metrics.inc("program.phase_markers"),
-            ObsEvent::CampaignStart { cells, .. } => {
-                self.metrics.set_gauge("campaign.cells", *cells as f64);
-            }
-            ObsEvent::CellCacheHit { .. } => self.metrics.inc("campaign.cache_hits"),
-            ObsEvent::CellStart { .. } => self.metrics.inc("campaign.cell_starts"),
-            ObsEvent::CellFinish { .. } => self.metrics.inc("campaign.cells_completed"),
-            ObsEvent::CellRetry { .. } => self.metrics.inc("campaign.retries"),
-            ObsEvent::CellPanic { .. } => self.metrics.inc("campaign.panics"),
-            ObsEvent::RunEnd {
-                now,
-                app_misses,
-                unmapped_misses,
-                instr_cycles,
-                ..
-            } => {
-                if *app_misses > 0 {
-                    self.metrics.set_gauge(
-                        "engine.unmapped_miss_rate",
-                        *unmapped_misses as f64 / *app_misses as f64,
-                    );
-                }
-                if *now > 0 {
-                    self.metrics.set_gauge(
-                        "engine.instr_cycle_share",
-                        *instr_cycles as f64 / *now as f64,
-                    );
-                }
-            }
-            ObsEvent::CheckDiagnostic { severity, .. } => {
-                self.metrics.inc("check.diagnostics");
-                if *severity == "error" {
-                    self.metrics.inc("check.errors");
-                }
-            }
-            ObsEvent::SessionStart { .. } => self.metrics.inc("serve.sessions"),
-            ObsEvent::SessionReject { .. } => self.metrics.inc("serve.rejects"),
-            ObsEvent::SessionSimStart { .. } => self.metrics.inc("serve.sim_starts"),
-            ObsEvent::SessionDedup { .. } => self.metrics.inc("serve.dedup_hits"),
-            ObsEvent::SessionEnd { bytes, ms, .. } => {
-                self.metrics.inc("serve.sessions_served");
-                self.metrics.add("serve.bytes_in", *bytes);
-                self.metrics.observe("serve.session_ms", *ms);
-            }
-            ObsEvent::ServeDrain { active } => {
-                self.metrics.set_gauge("serve.drain_active", *active as f64);
-            }
-            ObsEvent::ServeStop { .. } => self.metrics.inc("serve.stops"),
-            ObsEvent::FuzzScenario { .. } => self.metrics.inc("fuzz.scenarios"),
-            ObsEvent::FuzzSilentInversion { .. } => self.metrics.inc("fuzz.silent_inversions"),
-            ObsEvent::FuzzMinimizeStep { .. } => self.metrics.inc("fuzz.minimize_steps"),
-            _ => {}
-        }
+        ev.derive_metrics(self);
         self.events.push(ev);
     }
 

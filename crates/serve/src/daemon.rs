@@ -25,12 +25,13 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cachescope_campaign::{
@@ -39,7 +40,7 @@ use cachescope_campaign::{
 use cachescope_check::wire::{check_hello_version, FrameType};
 use cachescope_core::export::report_to_json;
 use cachescope_core::Experiment;
-use cachescope_obs::{Json, Obs, ObsEvent};
+use cachescope_obs::{events_to_jsonl, Json, Obs, ObsEvent};
 use cachescope_sim::RunLimit;
 
 use crate::session::{FinishedStream, Refusal, SessionConfig, SessionStream};
@@ -139,14 +140,11 @@ impl Shared {
     fn emit(&self, ev: ObsEvent) {
         let mut st = lock(&self.obs);
         st.obs.emit(ev);
-        // The feed drains the in-memory event vec, bounding a long-lived
-        // daemon's footprint; without a feed the events stay harvestable.
+        // Draining the in-memory event vec on every emit bounds a
+        // long-lived daemon's footprint; only the feed keeps the events.
         let events = st.obs.take_events();
         if let Some(w) = st.writer.as_mut() {
-            for ev in &events {
-                let _ = w.write_all(ev.to_json().render().as_bytes());
-                let _ = w.write_all(b"\n");
-            }
+            let _ = w.write_all(events_to_jsonl(&events).as_bytes());
             let _ = w.flush();
         }
     }
@@ -543,48 +541,52 @@ enum Listener {
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-fn accept_loop(
-    shared: Arc<Shared>,
-    listener: Listener,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let accepted: Option<(Box<dyn FnOnce() + Send>, String)> = match &listener {
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_read_timeout(Some(READ_TIMEOUT));
-                    let _ = s.set_write_timeout(Some(WRITE_TIMEOUT));
-                    let shared = Arc::clone(&shared);
-                    Some((
-                        Box::new(move || handle_conn(&shared, s, "unix")),
-                        "unix".to_string(),
-                    ))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(_) => None,
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, peer)) => {
-                    let _ = s.set_read_timeout(Some(READ_TIMEOUT));
-                    let _ = s.set_write_timeout(Some(WRITE_TIMEOUT));
-                    let shared = Arc::clone(&shared);
-                    let name = peer.to_string();
-                    let label = name.clone();
-                    Some((Box::new(move || handle_conn(&shared, s, &label)), name))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(_) => None,
-            },
+/// What a connection thread needs of an accepted socket.
+trait Socket: Read + Write + Send + 'static {
+    fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()>;
+}
+
+impl Socket for UnixStream {
+    fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
+        self.set_read_timeout(Some(read))?;
+        self.set_write_timeout(Some(write))
+    }
+}
+
+impl Socket for TcpStream {
+    fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
+        self.set_read_timeout(Some(read))?;
+        self.set_write_timeout(Some(write))
+    }
+}
+
+/// Start `socket`'s connection thread.
+fn spawn_conn<S: Socket>(shared: &Arc<Shared>, socket: S, peer: String) -> JoinHandle<()> {
+    let _ = socket.set_timeouts(READ_TIMEOUT, WRITE_TIMEOUT);
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || handle_conn(&shared, socket, &peer))
+}
+
+fn accept_loop(shared: Arc<Shared>, listener: Listener, conns: Arc<Mutex<Vec<JoinHandle<()>>>>) {
+    while !shared.stop.load(Ordering::SeqCst) {
+        let accepted = match &listener {
+            Listener::Unix(l) => l
+                .accept()
+                .map(|(s, _)| spawn_conn(&shared, s, "unix".into())),
+            Listener::Tcp(l) => l
+                .accept()
+                .map(|(s, peer)| spawn_conn(&shared, s, peer.to_string())),
         };
         match accepted {
-            Some((run, _peer)) => {
-                let handle = std::thread::spawn(run);
-                lock(&conns).push(handle);
+            Ok(handle) => {
+                // Reap finished connections so a long-lived daemon holds
+                // one handle per live connection, not one per session.
+                let mut conns = lock(&conns);
+                conns.retain(|h| !h.is_finished());
+                conns.push(handle);
             }
-            None => std::thread::sleep(Duration::from_millis(20)),
+            // Nothing pending (`WouldBlock`) or a failed accept.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
 }
@@ -592,8 +594,8 @@ fn accept_loop(
 /// A running daemon: listeners, connection threads, worker pool.
 pub struct Daemon {
     shared: Arc<Shared>,
-    accepts: Vec<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accepts: Vec<JoinHandle<()>>,
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     tcp_addr: Option<std::net::SocketAddr>,
     unix_path: Option<PathBuf>,
     finished: bool,
@@ -771,5 +773,46 @@ impl Drop for Daemon {
             // An abandoned daemon still stops its threads.
             self.shared.stop.store(true, Ordering::SeqCst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{submit_bytes, Addr, SubmitOutcome};
+    use cachescope_sim::tracefile::{RecordingProgram, TraceFormat};
+    use cachescope_sim::{Event, MemRef, ObjectDecl, Program, TraceProgram};
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let daemon = Daemon::start(ServeConfig {
+            tcp: Some("127.0.0.1:0".to_string()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = Addr::Tcp(daemon.tcp_addr().unwrap().to_string());
+        let events = (0..256)
+            .map(|i| Event::Access(MemRef::read(0x1000 + 64 * (i % 64), 8)))
+            .collect();
+        let objects = vec![ObjectDecl::global("a", 0x1000, 4096)];
+        let program = TraceProgram::new("t".to_string(), objects, events);
+        let mut rec = RecordingProgram::with_format(program, Vec::new(), TraceFormat::Bin);
+        while rec.next_event().is_some() {}
+        let trace = rec.into_writer();
+        let cfg = SessionConfig {
+            technique_spec: "sampling:50".to_string(),
+            misses: 1_000,
+            counters: 4,
+            interval: 25_000_000,
+        };
+        for _ in 0..8 {
+            let outcome = submit_bytes(&addr, &trace, &cfg, 0).unwrap();
+            assert!(matches!(outcome, SubmitOutcome::Report(_)));
+        }
+        // Each accept drops the handles of finished connections: what is
+        // left is the last session's and at most one still winding down.
+        let held = lock(&daemon.conns).len();
+        assert!(held <= 2, "{held} connection handles held after 8 sessions");
+        assert_eq!(daemon.shutdown(Duration::from_secs(5)).served, 8);
     }
 }

@@ -578,3 +578,42 @@ fn status_probe_works_without_a_session() {
     );
     daemon.shutdown(Duration::from_secs(5));
 }
+
+#[test]
+fn event_feed_is_obs_jsonl_in_lifecycle_order() {
+    let dir = temp_path("feed");
+    let feed = dir.join("events.jsonl");
+    let (daemon, addr) = tcp_daemon(ServeConfig {
+        events_path: Some(feed.clone()),
+        ..ServeConfig::default()
+    });
+    let cfg = session_config();
+    expect_report(submit_bytes(&addr, &bin_trace(12), &cfg, 0).unwrap());
+    expect_reject(submit_bytes(&addr, b"this is not a trace", &cfg, 0).unwrap());
+    daemon.shutdown(Duration::from_secs(5));
+
+    let text = std::fs::read_to_string(&feed).unwrap();
+    let kinds: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let v = cachescope_obs::json::parse(line).expect("each feed line is JSON");
+            let kind = v.get("type").and_then(|t| t.as_str()).expect("a type tag");
+            assert!(cachescope_obs::ObsEvent::KINDS.contains(&kind), "{line}");
+            kind.to_string()
+        })
+        .collect();
+    let mut rest = kinds.iter();
+    for want in [
+        "session_start",
+        "session_end",
+        "session_reject",
+        "serve_drain",
+        "serve_stop",
+    ] {
+        assert!(
+            rest.any(|k| k == want),
+            "{want} missing or out of order in {kinds:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,6 @@
 //! DESIGN.md's module map must match the tree: every name it lists
 //! exists, and every crate and every `crates/*/src/**/*.rs` file is
-//! listed.
+//! listed. README's event list must name exactly the event table's tags.
 //!
 //! Map format (the fenced block under "## 6. Module map"): a line that
 //! starts in column 0 names a directory and then files in it; an indented
@@ -76,5 +76,27 @@ fn every_crate_and_crate_source_file_is_in_the_module_map() {
     assert!(
         unlisted.is_empty(),
         "missing from DESIGN.md §6: {unlisted:?}"
+    );
+}
+
+#[test]
+fn readme_event_list_names_exactly_the_event_tags() {
+    let readme = std::fs::read_to_string(Path::new(ROOT).join("README.md")).unwrap();
+    let section = readme
+        .split("### Event types")
+        .nth(1)
+        .expect("an event list");
+    let section = section.split("\n#").next().unwrap();
+    let listed: BTreeSet<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|row| row.split('`').next().unwrap())
+        .collect();
+    let kinds: BTreeSet<&str> = cachescope_obs::ObsEvent::KINDS.iter().copied().collect();
+    let missing: Vec<_> = kinds.difference(&listed).collect();
+    let unknown: Vec<_> = listed.difference(&kinds).collect();
+    assert!(
+        missing.is_empty() && unknown.is_empty(),
+        "README event list: missing {missing:?}, not event tags {unknown:?}"
     );
 }
