@@ -65,7 +65,8 @@ use std::collections::HashMap;
 
 use cachescope_obs::Json;
 use cachescope_sim::{
-    CacheConfig, Event, EventChunk, MemRef, ObjectDecl, Program, ReplacementPolicy, CHUNK_CAPACITY,
+    CacheConfig, EpochIndex, Event, EventChunk, MemRef, ObjectDecl, Program, ReplacementPolicy,
+    CHUNK_CAPACITY,
 };
 
 /// How the run whose misses we are bounding is limited.
@@ -478,13 +479,6 @@ impl Tally {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Extent {
-    base: u64,
-    end: u64,
-    obj: u32,
-}
-
 /// The streaming abstract interpreter. Feed it statics, then events in
 /// program order (or drive it with [`analyze_program`]); `finish`
 /// produces the [`BoundsReport`].
@@ -504,7 +498,9 @@ pub struct Analyzer {
     tallies: Vec<Tally>,
     by_name: HashMap<String, u32>,
     unmapped: Tally,
-    extents: Vec<Extent>,
+    /// Live extents → tally index, admitted by the engine's rule so both
+    /// agree on which objects exist.
+    extents: EpochIndex,
     current_phase: u32,
     phase_seen: u64,
     phase_overflow: bool,
@@ -540,7 +536,7 @@ impl Analyzer {
             tallies: Vec::new(),
             by_name: HashMap::new(),
             unmapped: Tally::named(UNMAPPED.to_string()),
-            extents: Vec::new(),
+            extents: EpochIndex::new(),
             current_phase: 0,
             phase_seen: 0,
             phase_overflow: false,
@@ -560,50 +556,27 @@ impl Analyzer {
         self.done
     }
 
-    fn tally_for(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let id = self.tallies.len() as u32;
-        self.by_name.insert(name.to_string(), id);
-        self.tallies.push(Tally::named(name.to_string()));
-        id
-    }
-
     /// Register a static/global object (before any events), mirroring
-    /// the engine: a static overlapping an earlier live extent is
-    /// rejected and never attributes anything.
+    /// the engine: a static that [`EpochIndex::insert`] rejects never
+    /// attributes anything.
     pub fn declare_static(&mut self, d: &ObjectDecl) {
         self.insert_extent(&d.name, d.base, d.size);
     }
 
+    /// Admit an extent by the engine's rule; the contested range of a
+    /// rejected one keeps attributing to the prior extent.
     fn insert_extent(&mut self, name: &str, base: u64, size: u64) {
-        if size == 0 {
-            return;
+        let known = self.by_name.get(name).copied();
+        let id = known.unwrap_or(self.tallies.len() as u32);
+        if self
+            .extents
+            .insert(base, base.saturating_add(size), id)
+            .is_ok()
+            && known.is_none()
+        {
+            self.by_name.insert(name.to_string(), id);
+            self.tallies.push(Tally::named(name.to_string()));
         }
-        let end = base.saturating_add(size);
-        let idx = self.extents.partition_point(|e| e.base < base);
-        let clash = (idx > 0 && self.extents[idx - 1].end > base)
-            || (idx < self.extents.len() && self.extents[idx].base < end);
-        if clash {
-            // The engine rejects overlapping extents (CS-W001/W005); the
-            // contested range keeps attributing to the prior extent.
-            return;
-        }
-        let obj = self.tally_for(name);
-        self.extents.insert(idx, Extent { base, end, obj });
-    }
-
-    fn remove_extent(&mut self, base: u64) {
-        if let Ok(idx) = self.extents.binary_search_by(|e| e.base.cmp(&base)) {
-            self.extents.remove(idx);
-        }
-    }
-
-    fn resolve(&self, addr: u64) -> Option<u32> {
-        let idx = self.extents.partition_point(|e| e.base <= addr);
-        let e = self.extents.get(idx.wrapping_sub(1))?;
-        (addr < e.end).then_some(e.obj)
     }
 
     /// Interpret one application access.
@@ -670,8 +643,8 @@ impl Analyzer {
             None => (HIST_BUCKETS - 1, true),
         };
 
-        let tally = match self.resolve(r.addr) {
-            Some(id) => &mut self.tallies[id as usize],
+        let tally = match self.extents.resolve(r.addr) {
+            Some((_, _, id)) => &mut self.tallies[id as usize],
             None => &mut self.unmapped,
         };
         tally.accesses += 1;
@@ -726,7 +699,9 @@ impl Analyzer {
                 let display = name.clone().unwrap_or_else(|| format!("{:#x}", *base));
                 self.insert_extent(&display, *base, *size);
             }
-            Event::Free { base } => self.remove_extent(*base),
+            Event::Free { base } => {
+                self.extents.remove(*base);
+            }
             Event::Phase(p) => {
                 self.current_phase = *p;
                 if *p >= MAX_PHASE_BITS {
@@ -1092,6 +1067,31 @@ mod tests {
             "contested range attributes to the prior live extent"
         );
         assert!(r.object("clash").is_none());
+    }
+
+    #[test]
+    fn same_base_zero_size_alloc_cannot_evict_a_live_block() {
+        let alloc = |base, size, name: &str| Event::Alloc {
+            base,
+            size,
+            name: Some(name.to_string()),
+        };
+        let mut a = Analyzer::new("t", cfg());
+        a.event(&alloc(0x2000, 256, "buf"));
+        a.event(&alloc(0x2000, 0, "ghost"));
+        // A zero-size block claims its base: the later real block loses.
+        a.event(&alloc(0x3000, 0, "empty"));
+        a.event(&alloc(0x3000, 256, "late"));
+        a.access(&read(0x2040));
+        a.access(&read(0x3040));
+        let r = a.finish();
+        assert_eq!(r.object("buf").map(|o| o.accesses), Some(1));
+        assert!(r.object("ghost").is_none());
+        assert!(r.object("late").is_none());
+        assert_eq!(
+            r.unmapped.accesses, 1,
+            "the zero-size block resolves nothing"
+        );
     }
 
     #[test]

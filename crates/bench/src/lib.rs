@@ -19,21 +19,6 @@ pub mod overhead;
 pub mod paper;
 pub mod results_json;
 
-use cachescope_core::SearchConfig;
-
-/// The n-way search configuration used for an application's table runs
-/// (su2cor's longer interval, defaults elsewhere); shared with the
-/// campaign engine via [`cachescope_campaign::search_config_auto`].
-pub fn search_config_for(app: &str) -> SearchConfig {
-    cachescope_campaign::search_config_auto(app)
-}
-
-/// Run length (application misses) for a search experiment on `app`:
-/// whole phase cycles, at least two, covering at least `base` misses.
-pub fn search_run_misses(app_cycle: u64, base: u64) -> u64 {
-    cachescope_campaign::search_run_misses(app_cycle, base)
-}
-
 /// The worker cap for this invocation: an explicit `--jobs N` (or
 /// `--jobs=N`) argument wins, then the `CACHESCOPE_JOBS` environment
 /// variable, then available parallelism — uniform across every bench
@@ -69,12 +54,6 @@ where
         );
     }
     results.into_iter().filter_map(|r| r.ok()).collect()
-}
-
-/// Round `misses` down to a whole number of the workload's phase cycles
-/// (at least one cycle), so phased applications run their designed mix.
-pub fn whole_cycles(misses: u64, cycle: u64) -> u64 {
-    cachescope_campaign::whole_cycles(misses, cycle)
 }
 
 /// Format `v` as the paper prints percentages (one decimal).
@@ -114,12 +93,5 @@ mod tests {
             })
             .collect();
         run_parallel(jobs);
-    }
-
-    #[test]
-    fn whole_cycles_rounds_down_but_never_to_zero() {
-        assert_eq!(whole_cycles(10_000, 3_000), 9_000);
-        assert_eq!(whole_cycles(1_000, 3_000), 3_000);
-        assert_eq!(whole_cycles(6_000, 3_000), 6_000);
     }
 }

@@ -7,7 +7,7 @@ use cachescope_core::{Experiment, SamplerConfig, TechniqueConfig};
 use cachescope_sim::{Program, RunLimit, RunStats};
 use cachescope_workloads::spec::{self, Scale};
 
-use crate::{run_parallel, search_config_for};
+use crate::run_parallel;
 
 /// Sampling periods shown in Figures 3 and 4.
 pub const SAMPLE_PERIODS: [u64; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -49,7 +49,7 @@ pub fn sweep(app_cycles: u64) -> Vec<AppOverheads> {
             std::iter::once(("baseline".to_string(), TechniqueConfig::None))
                 .chain(std::iter::once((
                     "search".to_string(),
-                    TechniqueConfig::Search(search_config_for(&app)),
+                    TechniqueConfig::Search(cachescope_campaign::search_config_auto(&app)),
                 )))
                 .chain(SAMPLE_PERIODS.iter().map(|&p| {
                     (

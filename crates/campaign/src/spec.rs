@@ -1031,6 +1031,7 @@ mod tests {
     fn rounding_helpers_match_documented_behaviour() {
         assert_eq!(whole_cycles(10_000, 3_000), 9_000);
         assert_eq!(whole_cycles(1_000, 3_000), 3_000);
+        assert_eq!(whole_cycles(6_000, 3_000), 6_000);
         assert_eq!(search_run_misses(3_000, 10_000), 9_000);
         assert_eq!(search_run_misses(3_000, 1_000), 6_000);
     }

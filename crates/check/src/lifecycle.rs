@@ -7,10 +7,11 @@
 //! extents, well-bracketed alloc/free, no references into freed memory)
 //! without running the cache model.
 //!
-//! Codes: `CS-W001` alloc over a live block, `CS-W002` free without a
-//! matching allocation, `CS-W003` reference into freed memory, `CS-W004`
-//! blocks leaked at exit (warning), `CS-W005` object extents overlap,
-//! `CS-W006` zero-sized extent (warning).
+//! Codes: `CS-W001` alloc over a live block (or at its base, even with
+//! zero size), `CS-W002` free without a matching allocation, `CS-W003`
+//! reference into freed memory, `CS-W004` blocks leaked at exit
+//! (warning), `CS-W005` object extents overlap, `CS-W006` zero-sized
+//! extent (warning).
 
 use std::collections::BTreeMap;
 
@@ -140,7 +141,7 @@ impl LifecycleChecker {
             .range(..=base)
             .next_back()
             .map(|(&b, v)| (b, v.clone()))
-            .filter(|&(b, (e, _))| overlaps(base, end, b, e))
+            .filter(|&(b, (e, _))| b == base || overlaps(base, end, b, e))
             .or_else(|| {
                 self.live
                     .range(base..end)
@@ -187,7 +188,10 @@ impl LifecycleChecker {
         for b in stale {
             self.freed.remove(&b);
         }
-        self.live.insert(base, (end, name.clone()));
+        // A block rejected with CS-W001 still counts as live for later
+        // events (no cascade of W002s when it is freed), but it never
+        // displaces the live block at its own base.
+        self.live.entry(base).or_insert((end, name.clone()));
     }
 
     fn observe_free(&mut self, base: u64, pos: u64) {
@@ -298,6 +302,35 @@ mod tests {
         let diags = c.finish(false);
         assert_eq!(codes(&diags), ["CS-W001"]);
         assert_eq!(diags[0].line, 2);
+    }
+
+    #[test]
+    fn zero_size_alloc_at_a_live_base_is_w001_and_keeps_the_block() {
+        let mut c = LifecycleChecker::new("t", &[]);
+        c.observe(
+            &Event::Alloc {
+                base: 0x4000,
+                size: 64,
+                name: Some("buf".into()),
+            },
+            1,
+        );
+        c.observe(
+            &Event::Alloc {
+                base: 0x4000,
+                size: 0,
+                name: Some("ghost".into()),
+            },
+            2,
+        );
+        let diags = c.finish(true);
+        assert_eq!(codes(&diags), ["CS-W006", "CS-W001", "CS-W004"]);
+        assert_eq!(diags[1].line, 2);
+        assert!(
+            diags[2].message.contains("first: buf"),
+            "{}",
+            diags[2].message
+        );
     }
 
     #[test]

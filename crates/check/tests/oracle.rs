@@ -1,7 +1,8 @@
 //! Property oracle: simulated ground truth must land inside the
 //! statically provable miss bounds — for every registry workload, under
 //! several cache geometries, with and without instrumentation traffic,
-//! and on adversarial churn/aliasing workloads.
+//! on adversarial churn/aliasing workloads, and on hostile extent layouts
+//! every technique must agree with ground truth about.
 //!
 //! The bounds are sound by construction (min = certain misses under any
 //! interleaved traffic, max = accesses), so any escape here is an
@@ -12,9 +13,9 @@ use cachescope_analyze::{analyze_program, AnalysisLimit, AnalyzeConfig, BoundsRe
 use cachescope_campaign::registry;
 use cachescope_check::bounds::check_report_bounds;
 use cachescope_core::export::report_to_json;
-use cachescope_core::{Experiment, FaultConfig, SamplerConfig, TechniqueConfig};
+use cachescope_core::{Experiment, ExperimentReport, FaultConfig, SamplerConfig, TechniqueConfig};
 use cachescope_sim::address_space::HEAP_BASE;
-use cachescope_sim::{CacheConfig, Program, RunLimit};
+use cachescope_sim::{CacheConfig, Event, MemRef, ObjectDecl, Program, RunLimit, TraceProgram};
 use cachescope_workloads::fuzz::{
     AccessMode, ChurnDef, FuzzWorkload, Pattern, PhaseDef, Scenario, TargetDef, TargetKind,
 };
@@ -71,7 +72,7 @@ fn assert_cell_in_bounds<P: Program>(
     technique: TechniqueConfig,
     faults: FaultConfig,
     source: &str,
-) {
+) -> ExperimentReport {
     let report = Experiment::new(program)
         .cache(cache)
         .technique(technique)
@@ -81,6 +82,7 @@ fn assert_cell_in_bounds<P: Program>(
         .run();
     let diags = check_report_bounds(&report_to_json(&report), bounds, source);
     assert!(diags.is_empty(), "{source}: {diags:?}");
+    report
 }
 
 #[test]
@@ -228,6 +230,103 @@ fn adversarial_workloads_stay_within_bounds() {
                 FaultConfig::default(),
                 &format!("{}/{tech_label}", scenario.name),
             );
+        }
+    }
+}
+
+/// A hostile extent layout: statics plus a prefix of allocator events,
+/// then `REFS` line-strided reads sweeping `[lo, hi)` over and over.
+fn extent_case(
+    name: &str,
+    statics: Vec<ObjectDecl>,
+    allocs: &[(u64, u64, &str)],
+    (lo, hi): (u64, u64),
+) -> (String, TraceProgram) {
+    let mut events: Vec<Event> = allocs
+        .iter()
+        .map(|&(base, size, n)| Event::Alloc {
+            base,
+            size,
+            name: Some(n.to_string()),
+        })
+        .collect();
+    let lines = (hi - lo) / 64;
+    events.extend((0..REFS).map(|i| Event::Access(MemRef::read(lo + (i % lines) * 64, 8))));
+    (name.to_string(), TraceProgram::new(name, statics, events))
+}
+
+/// Layouts the engine's admission rule (first declaration wins, a
+/// zero-size extent claims its base but never resolves) decides, and
+/// which the techniques' object map and the analyzer once decided
+/// differently.
+fn extent_cases() -> Vec<(String, TraceProgram)> {
+    let s = 0x1000_0000u64;
+    let h = HEAP_BASE;
+    let kib = 1024u64;
+    let global = |n: &str, base, size| ObjectDecl::global(n, base, size);
+    vec![
+        extent_case(
+            "zero-size-alloc-at-live-base",
+            vec![global("g", s, 64 * kib)],
+            &[(h, 64 * kib, "buf"), (h, 0, "ghost")],
+            (h, h + 64 * kib),
+        ),
+        extent_case(
+            "zero-size-then-real-alloc",
+            vec![global("g", s, 64 * kib)],
+            &[(h, 0, "empty"), (h, 64 * kib, "late")],
+            (h, h + 64 * kib),
+        ),
+        extent_case(
+            "overlapping-statics",
+            vec![
+                global("a", s, 64 * kib),
+                global("b", s + 32 * kib, 64 * kib),
+            ],
+            &[],
+            (s, s + 96 * kib),
+        ),
+        extent_case(
+            "zero-size-static",
+            vec![global("z", s, 0), global("a", s + 32 * kib, 64 * kib)],
+            &[],
+            (s, s + 96 * kib),
+        ),
+        extent_case(
+            "alloc-over-static",
+            vec![global("g", s, 64 * kib)],
+            &[(s + 32 * kib, 64 * kib, "h")],
+            (s, s + 96 * kib),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_extents_agree_across_techniques_and_the_analyzer() {
+    for (name, program) in extent_cases() {
+        let cache = CacheConfig::default();
+        let bounds = bounds_under(&mut program.clone(), cache.clone(), REFS);
+        let mut row_sets = Vec::new();
+        for (label, technique) in [
+            ("none", TechniqueConfig::None),
+            ("sample", TechniqueConfig::sampling(50)),
+            ("search", TechniqueConfig::search()),
+        ] {
+            let report = assert_cell_in_bounds(
+                program.clone(),
+                &bounds,
+                cache.clone(),
+                technique,
+                FaultConfig::default(),
+                &format!("{name}/{label}"),
+            );
+            assert!(report.stats.app.misses > 0, "{name}/{label}");
+            let rows: Vec<String> = report.rows().iter().map(|r| r.name.clone()).collect();
+            row_sets.push((label, rows));
+        }
+        let (_, want) = &row_sets[0];
+        for (label, rows) in &row_sets {
+            assert_eq!(rows, want, "{name}/{label}: rows differ from ground truth");
         }
     }
 }

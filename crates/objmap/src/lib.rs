@@ -36,7 +36,8 @@ pub use trace::AccessTrace;
 
 // The shared epoch-versioned extent index (defined in `cachescope-sim`
 // so the engine's ground truth can use it too) is re-exported here as
-// the canonical resolve structure behind [`SymTab`] and [`ObjectMap`].
+// the resolve structure behind [`SymTab`] and [`ObjectMap`]; its
+// admission rule decides which statics and heap blocks they hold.
 pub use cachescope_sim::{EpochIndex, ExtentMemo, ExtentOverlap};
 
 /// A simulated (virtual) memory address.

@@ -9,8 +9,13 @@
 //! * **object-extent boundaries within a region** (n-way search: "adjust
 //!   the extents of the regions each time they are split so that objects
 //!   do not span region boundaries", section 2.2).
+//!
+//! Statics and heap blocks are admitted by [`EpochIndex`]'s rule, the
+//! one ground truth uses, before either simulated structure is touched:
+//! a declaration or allocation the engine would reject is skipped here
+//! too, and a zero-size block is registered but resolves nowhere.
 
-use cachescope_sim::{AddressSpace, EpochIndex, ObjectDecl, ObjectKind};
+use cachescope_sim::{AddressSpace, EpochIndex, ExtentMemo, ObjectDecl, ObjectKind};
 
 use crate::object::{MemoryObject, ObjectId};
 use crate::rbtree::RbTree;
@@ -29,92 +34,21 @@ pub struct ObjectMap {
     coalesce_sites: bool,
     /// Live block count per object id (used to retire coalesced sites).
     live_blocks: Vec<u32>,
-    /// Flat mirror of the live heap-block extents, kept in lock-step with
-    /// the tree. Extent queries answer from here in O(log n) instead of
-    /// walking every tree node.
+    /// The live heap-block extents: the admission rule for allocations,
+    /// the answer to extent queries in O(log n), and — through its epoch,
+    /// bumped whenever the tree changes — the tag that invalidates `memo`.
     live_heap: EpochIndex,
-    /// Allocator-event counter versioning every memo entry: bumping it
-    /// invalidates the whole cache in O(1), stale entries are simply
-    /// never replayed.
-    epoch: u64,
-    /// Direct-mapped memo of recent successful lookups (see [`MemoCache`]).
-    memo: MemoCache,
+    /// Recent successful lookups: the object id plus the simulated
+    /// accesses the walk made. Any address inside a memoised leaf extent
+    /// follows the same symbol-table search path and the same heap-tree
+    /// walk (leaf extents contain no other extent's boundary, so every
+    /// comparison resolves identically), which makes replaying the saved
+    /// trace exactly equivalent to re-running the walks.
+    memo: ExtentMemo<(u32, AccessTrace)>,
     /// Heap blocks discarded because the tree arena hit its segment cap.
     /// Attribution for those blocks degrades to "unknown" but the run
     /// keeps going.
     dropped_blocks: u64,
-}
-
-/// See [`ObjectMap::lookup`]. Any address inside `[base, end)` follows the
-/// same symbol-table search path and the same heap-tree walk as the
-/// memoised address (leaf extents contain no other extent's boundary, so
-/// every comparison resolves identically), which makes replaying the saved
-/// trace exactly equivalent to re-running the walks.
-#[derive(Debug, Clone)]
-struct LookupMemo {
-    base: Addr,
-    end: Addr,
-    id: ObjectId,
-    /// [`ObjectMap::epoch`] at fill time; a mismatch means an allocator
-    /// event happened since and the entry is dead.
-    epoch: u64,
-    reads: Vec<Addr>,
-    writes: Vec<Addr>,
-}
-
-const MEMO_SLOTS: usize = 32;
-
-/// Small direct-mapped cache of [`LookupMemo`] entries.
-///
-/// The old one-entry memo thrashed whenever misses alternated between two
-/// hot objects (an A-B-A-B interleave re-walked both structures on every
-/// sample). Slots are indexed by a hash of the *miss address* at 4 KiB
-/// granularity, so distinct hot blocks usually occupy distinct slots;
-/// `recent` remembers the slot that hit or filled last, which keeps long
-/// streaming sweeps through one large block on the fast path even as the
-/// sweep crosses page-hash boundaries.
-#[derive(Debug, Clone)]
-struct MemoCache {
-    slots: Vec<Option<LookupMemo>>,
-    recent: usize,
-}
-
-impl MemoCache {
-    fn new() -> Self {
-        MemoCache {
-            slots: (0..MEMO_SLOTS).map(|_| None).collect(),
-            recent: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(addr: Addr) -> usize {
-        (((addr >> 12) ^ (addr >> 17)) as usize) & (MEMO_SLOTS - 1)
-    }
-
-    /// Replay the memoised trace for `addr` if a live entry covers it.
-    #[inline]
-    fn replay(&mut self, addr: Addr, epoch: u64, trace: &mut AccessTrace) -> Option<ObjectId> {
-        let direct = Self::slot_of(addr);
-        for s in [self.recent, direct] {
-            if let Some(m) = &self.slots[s] {
-                if m.epoch == epoch && addr >= m.base && addr < m.end {
-                    trace.reads.extend_from_slice(&m.reads);
-                    trace.writes.extend_from_slice(&m.writes);
-                    self.recent = s;
-                    return Some(m.id);
-                }
-            }
-        }
-        None
-    }
-
-    #[inline]
-    fn fill(&mut self, addr: Addr, memo: LookupMemo) {
-        let s = Self::slot_of(addr);
-        self.slots[s] = Some(memo);
-        self.recent = s;
-    }
 }
 
 impl ObjectMap {
@@ -139,36 +73,38 @@ impl ObjectMap {
 
     fn build(decls: &[ObjectDecl], aspace: &mut AddressSpace, coalesce_sites: bool) -> Self {
         let mut objects = Vec::with_capacity(decls.len());
-        let mut extents = Vec::with_capacity(decls.len());
+        let mut statics = EpochIndex::new();
         for decl in decls {
             // check:allow(ObjectId is u32 by design; a map holds far fewer than 2^32 objects)
             let id = ObjectId(objects.len() as u32);
-            objects.push(MemoryObject {
-                id,
-                name: decl.name.clone(),
-                base: decl.base,
-                size: decl.size,
-                kind: decl.kind,
-                live: true,
-            });
-            extents.push((decl.base, decl.end(), id));
+            // A static the engine rejects (it collides with an earlier
+            // one) is skipped, so it never gets an id.
+            if statics.insert(decl.base, decl.end(), id.0).is_ok() {
+                objects.push(MemoryObject {
+                    id,
+                    name: decl.name.clone(),
+                    base: decl.base,
+                    size: decl.size,
+                    kind: decl.kind,
+                    live: true,
+                });
+            }
         }
         let symtab_base =
-            aspace.alloc_instr(extents.len().max(1) as u64 * crate::symtab::ENTRY_BYTES);
+            aspace.alloc_instr(objects.len().max(1) as u64 * crate::symtab::ENTRY_BYTES);
         // Reserve the heap tree's base arena segment (64Ki blocks); past
         // that the tree spills into fixed segments laid out top-down from
         // the end of the instrumentation segment (see `rbtree`).
         let heap_base = aspace.alloc_instr(64 * 1024 * crate::rbtree::NODE_BYTES);
         let live_blocks = vec![1; objects.len()];
         ObjectMap {
-            symtab: SymTab::new(extents, symtab_base),
+            symtab: SymTab::new(statics, symtab_base),
             heap: RbTree::new(heap_base),
             objects,
             coalesce_sites,
             live_blocks,
             live_heap: EpochIndex::new(),
-            epoch: 0,
-            memo: MemoCache::new(),
+            memo: ExtentMemo::new(),
             dropped_blocks: 0,
         }
     }
@@ -193,7 +129,9 @@ impl ObjectMap {
         &self.objects[id.index()]
     }
 
-    /// Register a heap allocation (instrumented `malloc`).
+    /// Register a heap allocation (instrumented `malloc`). Returns `None`
+    /// when the block collides with a live extent and is skipped, as
+    /// ground truth skips it.
     ///
     /// With site coalescing enabled, a named block that touches (or lies
     /// inside) the extent of an existing live site of the same name joins
@@ -204,78 +142,73 @@ impl ObjectMap {
         size: u64,
         name: Option<&str>,
         trace: &mut AccessTrace,
-    ) -> ObjectId {
-        self.epoch += 1;
-        let end = base + size.max(1);
-        if self.coalesce_sites {
-            if let Some(n) = name {
-                let site = self.objects.iter().position(|o| {
-                    o.live
-                        && o.kind == ObjectKind::Heap
-                        && o.name == n
-                        && base <= o.end()
-                        && end >= o.base
-                });
-                if let Some(i) = site {
-                    let id = self.objects[i].id;
-                    match self.heap.insert(base, end, id, trace) {
-                        Ok(()) => {
-                            let o = &mut self.objects[i];
-                            let new_base = o.base.min(base);
-                            let new_end = o.end().max(end);
-                            o.base = new_base;
-                            o.size = new_end - new_base;
-                            self.live_blocks[i] += 1;
-                            let _ = self.live_heap.insert(base, end, id.0);
-                        }
-                        Err(_) => self.dropped_blocks += 1,
-                    }
-                    return id;
+    ) -> Option<ObjectId> {
+        let end = base.saturating_add(size);
+        let site = name.filter(|_| self.coalesce_sites).and_then(|n| {
+            self.objects.iter().position(|o| {
+                o.live
+                    && o.kind == ObjectKind::Heap
+                    && o.name == n
+                    && base <= o.end()
+                    && end >= o.base
+            })
+        });
+        // check:allow(ObjectId is u32 by design; a map holds far fewer than 2^32 objects)
+        let id = site.map_or(ObjectId(self.objects.len() as u32), |i| self.objects[i].id);
+        self.symtab.admits(base, end).ok()?;
+        self.live_heap.insert(base, end, id.0).ok()?;
+        // A zero-size block claims its base but gets no tree node: it can
+        // never resolve.
+        let tracked = end == base || self.heap.insert(base, end, id, trace).is_ok();
+        if !tracked {
+            self.live_heap.remove(base);
+            self.dropped_blocks += 1;
+        }
+        match site {
+            Some(i) => {
+                if tracked {
+                    let o = &mut self.objects[i];
+                    let new_base = o.base.min(base);
+                    let new_end = o.end().max(end);
+                    o.base = new_base;
+                    o.size = new_end - new_base;
+                    self.live_blocks[i] += 1;
                 }
             }
-        }
-        // check:allow(ObjectId is u32 by design; a map holds far fewer than 2^32 objects)
-        let id = ObjectId(self.objects.len() as u32);
-        self.objects.push(MemoryObject {
-            id,
-            name: name
-                .map(String::from)
-                .unwrap_or_else(|| MemoryObject::anon_name(base)),
-            base,
-            size,
-            kind: ObjectKind::Heap,
-            live: true,
-        });
-        self.live_blocks.push(1);
-        match self.heap.insert(base, end, id, trace) {
-            Ok(()) => {
-                let _ = self.live_heap.insert(base, end, id.0);
-            }
-            Err(_) => {
-                // Arena exhausted: keep the registry entry (the id was
-                // promised to the caller) but the block is untracked — it
-                // can never resolve or be freed, so retire it at once.
-                self.dropped_blocks += 1;
-                self.live_blocks[id.index()] = 0;
-                self.objects[id.index()].live = false;
+            None => {
+                // An untracked block (arena exhausted) keeps its registry
+                // entry — the id goes back to the caller — but it can
+                // never resolve or be freed, so it is retired at once.
+                self.objects.push(MemoryObject {
+                    id,
+                    name: name
+                        .map(String::from)
+                        .unwrap_or_else(|| MemoryObject::anon_name(base)),
+                    base,
+                    size,
+                    kind: ObjectKind::Heap,
+                    live: tracked,
+                });
+                self.live_blocks.push(u32::from(tracked));
             }
         }
-        id
+        Some(id)
     }
 
     /// Register a heap free (instrumented `free`). Returns the freed
     /// block's object id if the base was known. A coalesced site stays
     /// live until its last block is freed.
     pub fn on_free(&mut self, base: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
-        self.epoch += 1;
-        let (_, id) = self.heap.remove(base, trace)?;
-        self.live_heap.remove(base);
-        let i = id.index();
+        // The instrumented free searches the tree even for a base it
+        // does not know, and pays for the walk.
+        self.heap.remove(base, trace);
+        let (_, id) = self.live_heap.remove(base)?;
+        let i = id as usize;
         self.live_blocks[i] = self.live_blocks[i].saturating_sub(1);
         if self.live_blocks[i] == 0 {
             self.objects[i].live = false;
         }
-        Some(id)
+        Some(ObjectId(id))
     }
 
     /// Resolve an address to the live object containing it.
@@ -286,12 +219,15 @@ impl ObjectMap {
     /// Successful lookups are memoised per containing leaf extent: a
     /// repeat hit in any recently-resolved global or heap block replays
     /// the saved access trace instead of re-walking the structures,
-    /// producing an identical result *and* identical recorded accesses
-    /// (see [`LookupMemo`] and [`MemoCache`]). Every allocator event
-    /// bumps the map epoch, which invalidates all memo entries at once.
+    /// producing an identical result *and* identical recorded accesses.
+    /// Entries are tagged with the live-heap epoch, so every allocator
+    /// event that changes the tree invalidates them all at once.
     pub fn lookup(&mut self, addr: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
-        if let Some(id) = self.memo.replay(addr, self.epoch, trace) {
-            return Some(id);
+        let epoch = self.live_heap.epoch();
+        if let Some((id, walk)) = self.memo.lookup(addr, epoch) {
+            trace.reads.extend_from_slice(&walk.reads);
+            trace.writes.extend_from_slice(&walk.writes);
+            return Some(ObjectId(*id));
         }
         let r0 = trace.reads.len();
         let w0 = trace.writes.len();
@@ -300,17 +236,11 @@ impl ObjectMap {
             .lookup(addr, trace)
             .or_else(|| self.heap.lookup(addr, trace));
         let (base, end, id) = hit?;
-        self.memo.fill(
-            addr,
-            LookupMemo {
-                base,
-                end,
-                id,
-                epoch: self.epoch,
-                reads: trace.reads[r0..].to_vec(),
-                writes: trace.writes[w0..].to_vec(),
-            },
-        );
+        let walk = AccessTrace {
+            reads: trace.reads[r0..].to_vec(),
+            writes: trace.writes[w0..].to_vec(),
+        };
+        self.memo.fill(addr, base, end, (id.0, walk), epoch);
         Some(id)
     }
 
@@ -456,7 +386,7 @@ mod tests {
     fn heap_lifecycle() {
         let mut m = map();
         let heap = 0x1_4102_0000u64;
-        let id = m.on_alloc(heap, 0x1000, None, &mut t());
+        let id = m.on_alloc(heap, 0x1000, None, &mut t()).unwrap();
         assert_eq!(m.object(id).name, "0x141020000");
         assert_eq!(m.lookup(heap + 0x800, &mut t()), Some(id));
         assert_eq!(m.on_free(heap, &mut t()), Some(id));
@@ -470,7 +400,9 @@ mod tests {
     #[test]
     fn named_heap_blocks_keep_their_name() {
         let mut m = map();
-        let id = m.on_alloc(0x1_4100_0000, 64, Some("jpeg_compressed_data"), &mut t());
+        let id = m
+            .on_alloc(0x1_4100_0000, 64, Some("jpeg_compressed_data"), &mut t())
+            .unwrap();
         assert_eq!(m.object(id).name, "jpeg_compressed_data");
     }
 
@@ -549,9 +481,15 @@ mod tests {
     #[test]
     fn site_coalescing_merges_contiguous_named_blocks() {
         let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
-        let a = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
-        let b = m.on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t());
-        let c = m.on_alloc(0x1_4100_2000, 0x1000, Some("node"), &mut t());
+        let a = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
+        let b = m
+            .on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t())
+            .unwrap();
+        let c = m
+            .on_alloc(0x1_4100_2000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(b, c);
         let site = m.object(a);
@@ -572,19 +510,25 @@ mod tests {
     #[test]
     fn site_coalescing_requires_contiguity() {
         let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
-        let a = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
+        let a = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         // A gap: a separate site fragment.
-        let b = m.on_alloc(0x1_4200_0000, 0x1000, Some("node"), &mut t());
+        let b = m
+            .on_alloc(0x1_4200_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         assert_ne!(a, b);
         // Anonymous blocks never merge.
-        let c = m.on_alloc(0x1_4100_1000, 0x1000, None, &mut t());
+        let c = m.on_alloc(0x1_4100_1000, 0x1000, None, &mut t()).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn coalesced_site_survives_partial_frees() {
         let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
-        let a = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
+        let a = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         m.on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t());
         assert_eq!(m.on_free(0x1_4100_0000, &mut t()), Some(a));
         assert!(m.object(a).live, "site lives while a block remains");
@@ -598,12 +542,16 @@ mod tests {
     #[test]
     fn freed_slot_reuse_rejoins_the_site() {
         let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
-        let a = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
+        let a = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         m.on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t());
         m.on_free(0x1_4100_0000, &mut t());
         // A measurement-aware allocator hands the slot back out; it lies
         // inside the site extent and merges again.
-        let again = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
+        let again = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         assert_eq!(again, a);
         assert_eq!(m.object(a).size, 0x2000);
     }
@@ -611,8 +559,12 @@ mod tests {
     #[test]
     fn without_coalescing_each_block_is_separate() {
         let mut m = map();
-        let a = m.on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t());
-        let b = m.on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t());
+        let a = m
+            .on_alloc(0x1_4100_0000, 0x1000, Some("node"), &mut t())
+            .unwrap();
+        let b = m
+            .on_alloc(0x1_4100_1000, 0x1000, Some("node"), &mut t())
+            .unwrap();
         assert_ne!(a, b);
     }
 
@@ -733,7 +685,7 @@ mod tests {
         }
         assert_eq!(m.dropped_blocks(), 0);
         // One past the cap: the alloc is acknowledged but untracked.
-        let id = m.on_alloc(base_of(cap), 32, None, &mut t());
+        let id = m.on_alloc(base_of(cap), 32, None, &mut t()).unwrap();
         assert_eq!(m.dropped_blocks(), 1);
         assert!(!m.object(id).live, "dropped block is retired immediately");
         assert_eq!(m.lookup(base_of(cap) + 8, &mut t()), None);
@@ -741,9 +693,47 @@ mod tests {
         // Earlier blocks are unaffected, and freeing one reopens a slot.
         assert!(m.lookup(base_of(7) + 8, &mut t()).is_some());
         assert!(m.on_free(base_of(9), &mut t()).is_some());
-        let again = m.on_alloc(base_of(cap) + 0x1000, 32, None, &mut t());
+        let again = m
+            .on_alloc(base_of(cap) + 0x1000, 32, None, &mut t())
+            .unwrap();
         assert_eq!(m.dropped_blocks(), 1, "freed slot absorbed the alloc");
         assert!(m.object(again).live);
+    }
+
+    #[test]
+    fn colliding_extents_are_skipped_as_ground_truth_skips_them() {
+        // Overlapping, same-base and zero-size statics build without a
+        // panic; the first declaration wins.
+        let mut decls = decls();
+        decls.push(ObjectDecl::global("A_tail", 0x1000_0800, 0x1000));
+        decls.push(ObjectDecl::global("B_again", 0x1000_2000, 0x10));
+        decls.push(ObjectDecl::global("Z", 0x1000_8000, 0));
+        let mut m = ObjectMap::new(&decls, &mut AddressSpace::new(64));
+        let names: Vec<&str> = m.objects().iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(names, ["A", "B", "C", "Z"]);
+        let a = m.lookup(0x1000_0900, &mut t()).unwrap();
+        assert_eq!(m.object(a).name, "A");
+        assert_eq!(m.lookup(0x1000_8000, &mut t()), None, "zero-size static");
+
+        // A zero-size block at a live block's base is rejected and the
+        // live block keeps resolving.
+        let heap = 0x1_4100_0000u64;
+        let buf = m.on_alloc(heap, 0x1000, Some("buf"), &mut t()).unwrap();
+        assert_eq!(m.on_alloc(heap, 0, Some("ghost"), &mut t()), None);
+        assert_eq!(m.lookup(heap + 8, &mut t()), Some(buf));
+        // An alloc overlapping a static is rejected.
+        assert_eq!(m.on_alloc(0x1000_0f00, 0x200, None, &mut t()), None);
+
+        // A zero-size block claims its base but never resolves; a real
+        // alloc there loses until it is freed.
+        let z = 0x1_4200_0000u64;
+        let ghost = m.on_alloc(z, 0, Some("ghost"), &mut t()).unwrap();
+        assert_eq!(m.lookup(z, &mut t()), None);
+        assert_eq!(m.on_alloc(z, 0x100, Some("late"), &mut t()), None);
+        assert_eq!(m.on_free(z, &mut t()), Some(ghost));
+        assert!(!m.object(ghost).live);
+        let late = m.on_alloc(z, 0x100, Some("late"), &mut t()).unwrap();
+        assert_eq!(m.lookup(z + 8, &mut t()), Some(late));
     }
 
     #[test]

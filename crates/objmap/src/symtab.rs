@@ -6,9 +6,13 @@
 //! in a sorted array searched by binary search; we do the same, storing the
 //! extents in a frozen [`EpochIndex`] (the same flat `(base, end, id)`
 //! snapshot ground truth resolves through) and modelling the array's
-//! simulated memory footprint so lookups perturb the cache.
+//! simulated memory footprint so lookups perturb the cache. Which
+//! declarations make it into the table is decided by the index's
+//! admission rule, as for ground truth: an overlapping or same-base
+//! declaration loses to the earlier one, and a zero-size one never
+//! resolves.
 
-use cachescope_sim::EpochIndex;
+use cachescope_sim::{EpochIndex, ExtentOverlap};
 
 use crate::object::ObjectId;
 use crate::trace::AccessTrace;
@@ -28,25 +32,10 @@ pub struct SymTab {
 }
 
 impl SymTab {
-    /// Build a table from `(base, end, id)` triples; the triples need not
-    /// be sorted but must not overlap. The array itself is modelled at
-    /// simulated address `sim_base`.
-    pub fn new(extents: Vec<(Addr, Addr, ObjectId)>, sim_base: Addr) -> Self {
-        for &(base, end, _) in &extents {
-            assert!(base < end, "empty global at {base:#x}");
-        }
-        let index = match EpochIndex::from_extents(
-            extents.into_iter().map(|(base, end, id)| (base, end, id.0)),
-        ) {
-            Ok(index) => index,
-            Err(o) => {
-                // check:allow(overlapping globals are a workload authoring bug; same contract as before)
-                panic!(
-                    "overlapping globals at {:#x} and {:#x}",
-                    o.other_base, o.base
-                )
-            }
-        };
+    /// Freeze `index` (the admitted static extents) into a table whose
+    /// entry array is modelled at simulated address `sim_base`.
+    pub fn new(mut index: EpochIndex, sim_base: Addr) -> Self {
+        index.freeze();
         SymTab { index, sim_base }
     }
 
@@ -65,6 +54,12 @@ impl SymTab {
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
+    }
+
+    /// Would a heap block `[base, end)` be admitted beside the statics?
+    /// (See [`EpochIndex::admits`].)
+    pub fn admits(&self, base: Addr, end: Addr) -> Result<(), ExtentOverlap> {
+        self.index.admits(base, end)
     }
 
     /// Simulated size of the entry array.
@@ -119,14 +114,7 @@ impl SymTab {
 
     /// The lowest base and highest end across all variables.
     pub fn extent(&self) -> Option<(Addr, Addr)> {
-        let entries = self.entries();
-        let &(first_base, first_end, _) = entries.first()?;
-        let end = entries
-            .iter()
-            .map(|&(_, e, _)| e)
-            .max()
-            .unwrap_or(first_end);
-        Some((first_base, end))
+        self.index.extent()
     }
 }
 
@@ -135,13 +123,11 @@ mod tests {
     use super::*;
 
     fn tab(extents: &[(u64, u64, u32)]) -> SymTab {
-        SymTab::new(
-            extents
-                .iter()
-                .map(|&(b, e, id)| (b, e, ObjectId(id)))
-                .collect(),
-            0x7_0000_0000,
-        )
+        let mut index = EpochIndex::new();
+        for &(base, end, id) in extents {
+            let _ = index.insert(base, end, id);
+        }
+        SymTab::new(index, 0x7_0000_0000)
     }
 
     fn t() -> AccessTrace {
@@ -175,17 +161,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlapping globals")]
-    fn overlap_rejected() {
-        tab(&[(100, 200, 0), (150, 250, 1)]);
+    fn first_declaration_wins_and_zero_size_never_resolves() {
+        let s = tab(&[(100, 200, 0), (150, 250, 1), (100, 120, 2), (300, 300, 3)]);
+        assert_eq!(s.len(), 2, "overlapping and same-base losers are skipped");
+        assert_eq!(s.lookup(160, &mut t()).unwrap().2, ObjectId(0));
+        assert_eq!(s.lookup(220, &mut t()), None, "loser's tail is a gap");
+        assert_eq!(s.lookup(300, &mut t()), None, "zero-size static");
     }
 
     #[test]
     fn lookup_trace_is_logarithmic() {
-        let extents: Vec<(u64, u64, ObjectId)> = (0..1024u64)
-            .map(|i| (i * 100, i * 100 + 50, ObjectId(i as u32)))
+        let extents: Vec<(u64, u64, u32)> = (0..1024u64)
+            .map(|i| (i * 100, i * 100 + 50, i as u32))
             .collect();
-        let s = SymTab::new(extents, 0x7_0000_0000);
+        let s = tab(&extents);
         let mut trace = t();
         s.lookup(51_200, &mut trace);
         assert!(trace.reads.len() <= 11, "got {} probes", trace.reads.len());

@@ -335,6 +335,39 @@ fn default_config_still_serves_unattributable_streams() {
     daemon.shutdown(Duration::from_secs(5));
 }
 
+/// A sweep over `objects`' address range, declared with hostile static
+/// extents the engine admits first-wins.
+fn hostile_statics_trace(objects: Vec<ObjectDecl>) -> Vec<u8> {
+    let events = (0..400u64)
+        .map(|i| Event::Access(MemRef::read(0x10_000 + (i * 64) % 0x6000, 8)))
+        .collect();
+    let p = TraceProgram::new("statics".to_string(), objects, events);
+    let mut rec = RecordingProgram::with_format(p, Vec::new(), TraceFormat::Bin);
+    while rec.next_event().is_some() {}
+    rec.into_writer()
+}
+
+#[test]
+fn overlapping_and_zero_size_statics_serve_the_batch_report() {
+    let (daemon, addr) = tcp_daemon(ServeConfig::default());
+    let cfg = session_config();
+    for objects in [
+        vec![
+            ObjectDecl::global("a", 0x10_000, 0x4000),
+            ObjectDecl::global("b", 0x12_000, 0x4000),
+        ],
+        vec![
+            ObjectDecl::global("z", 0x10_000, 0),
+            ObjectDecl::global("a", 0x12_000, 0x4000),
+        ],
+    ] {
+        let trace = hostile_statics_trace(objects);
+        let report = expect_report(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+        assert_eq!(report, batch_report(&trace, &cfg));
+    }
+    daemon.shutdown(Duration::from_secs(5));
+}
+
 #[test]
 fn admission_control_rejects_excess_sessions_as_busy() {
     let (daemon, addr) = tcp_daemon(ServeConfig {

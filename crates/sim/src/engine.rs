@@ -55,7 +55,7 @@ struct GroundTruth {
     /// Direct-mapped resolve memo tagged with the index epoch; one tag
     /// compare invalidates everything on churn, and interleaved hot
     /// objects stay resident instead of thrashing a single entry.
-    memo: crate::epoch::ExtentMemo,
+    memo: crate::epoch::ExtentMemo<u32>,
 }
 
 impl GroundTruth {
@@ -91,7 +91,7 @@ impl GroundTruth {
     #[inline]
     fn resolve(&mut self, addr: Addr) -> Option<u32> {
         let epoch = self.index.epoch();
-        if let Some(id) = self.memo.lookup(addr, epoch) {
+        if let Some(&id) = self.memo.lookup(addr, epoch) {
             return Some(id);
         }
         let (base, end, id) = self.index.resolve(addr)?;

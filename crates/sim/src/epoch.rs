@@ -15,11 +15,22 @@
 //!   churn quiets down, resolved with a branchless binary search (or a
 //!   straight containment scan for tiny registries).
 //!
+//! [`EpochIndex::insert`] is the one admission rule for object extents,
+//! shared by ground truth, the techniques' object map and the static
+//! analyzer, so all three agree on which objects exist:
+//!
+//! * extents are keyed by base;
+//! * an insert fails with [`ExtentOverlap`] when its range intersects a
+//!   live extent or it shares a live extent's base;
+//! * the first declaration wins — a rejected insert changes nothing;
+//! * a zero-size extent is registered (it claims its base) but never
+//!   resolves.
+//!
 //! Every mutation bumps an **epoch** counter. Callers that memoise
-//! resolves (the engine's [`ExtentMemo`], the object map's replay memos)
-//! tag entries with the epoch at fill time; a tag mismatch is a miss, so
-//! one integer compare invalidates every stale memo at once — no
-//! clearing, no per-entry bookkeeping on the alloc path.
+//! resolves (through [`ExtentMemo`]) tag entries with the epoch at fill
+//! time; a tag mismatch is a miss, so one integer compare invalidates
+//! every stale memo at once — no clearing, no per-entry bookkeeping on
+//! the alloc path.
 
 use std::collections::BTreeMap;
 
@@ -84,20 +95,12 @@ impl EpochIndex {
         Self::default()
     }
 
-    /// Build from a batch of `(base, end, id)` extents, rejecting the
-    /// first overlapping pair. The snapshot is materialized eagerly, so
-    /// an index that is never mutated afterwards (a symbol table) serves
-    /// every resolve from the flat array.
-    pub fn from_extents(
-        extents: impl IntoIterator<Item = (Addr, Addr, u32)>,
-    ) -> Result<Self, ExtentOverlap> {
-        let mut idx = Self::new();
-        for (base, end, id) in extents {
-            idx.insert(base, end, id)?;
-        }
-        idx.rebuild();
-        idx.epoch = 0;
-        Ok(idx)
+    /// Materialize the flat snapshot now and reset the epoch, for an
+    /// index that is complete and will not be mutated again (a symbol
+    /// table): every later resolve reads the flat array.
+    pub fn freeze(&mut self) {
+        self.rebuild();
+        self.epoch = 0;
     }
 
     /// Number of live extents.
@@ -117,31 +120,37 @@ impl EpochIndex {
         self.epoch
     }
 
-    /// Insert a live extent. Rejects (without mutating anything) if
-    /// `[base, end)` overlaps an extent already live. Zero-sized extents
-    /// are accepted and never resolve.
-    pub fn insert(&mut self, base: Addr, end: Addr, id: u32) -> Result<(), ExtentOverlap> {
+    /// The admission rule in the module docs: would an insert of
+    /// `[base, end)` succeed? Fails if the range overlaps an extent
+    /// already live or `base` is a live extent's base.
+    pub fn admits(&self, base: Addr, end: Addr) -> Result<(), ExtentOverlap> {
         debug_assert!(end >= base, "inverted extent {base:#x}..{end:#x}");
-        if let Some((&b, &(e, _))) = self.map.range(..base).next_back() {
-            if e > base {
-                return Err(ExtentOverlap {
-                    base,
-                    end,
-                    other_base: b,
-                    other_end: e,
-                });
-            }
+        let below = self
+            .map
+            .range(..base)
+            .next_back()
+            .filter(|(_, &(e, _))| e > base);
+        let above = self
+            .map
+            .range(base..)
+            .next()
+            .filter(|(&b, _)| end > b || b == base);
+        match below.or(above) {
+            Some((&b, &(e, _))) => Err(ExtentOverlap {
+                base,
+                end,
+                other_base: b,
+                other_end: e,
+            }),
+            None => Ok(()),
         }
-        if let Some((&b, &(e, _))) = self.map.range(base..).next() {
-            if end > b {
-                return Err(ExtentOverlap {
-                    base,
-                    end,
-                    other_base: b,
-                    other_end: e,
-                });
-            }
-        }
+    }
+
+    /// Insert a live extent if [`EpochIndex::admits`] it; a rejected
+    /// insert mutates nothing. Zero-sized extents are accepted and never
+    /// resolve.
+    pub fn insert(&mut self, base: Addr, end: Addr, id: u32) -> Result<(), ExtentOverlap> {
+        self.admits(base, end)?;
         self.map.insert(base, (end, id));
         self.churn();
         Ok(())
@@ -234,70 +243,86 @@ impl EpochIndex {
     }
 }
 
-/// Slots in the engine-side resolve memo. 32 entries at 4 KiB granularity
-/// give a 128 KiB aliasing period — enough that an ABAB interleave of two
-/// hot objects keeps both cached instead of thrashing a single entry.
+/// Slots in a resolve memo. 32 entries at 4 KiB granularity give a
+/// 128 KiB aliasing period — enough that an ABAB interleave of two hot
+/// objects keeps both cached instead of thrashing a single entry.
 const MEMO_SLOTS: usize = 32;
+
+/// One memo slot: an extent, the epoch it was resolved at, and what the
+/// caller stored with it. The default entry is inert at any epoch: no
+/// address lies in the empty range `[0, 0)`.
+#[derive(Debug, Clone, Default)]
+struct MemoEntry<T> {
+    base: Addr,
+    end: Addr,
+    epoch: u64,
+    value: T,
+}
 
 /// Direct-mapped memo of recent resolves, tagged with the index epoch.
 ///
-/// Two-level: a most-recent entry catches streaming misses through one
-/// object; a direct-mapped array (slotted by 4 KiB address region)
-/// catches interleaved hot objects. Entries carry the epoch at fill
-/// time, so any alloc/free invalidates the whole memo with zero work —
-/// the tag compare fails.
+/// Ground truth stores the object id (`T = u32`); the object map stores
+/// the id plus the simulated accesses its walk made, so a hit replays
+/// them. Two-level: `recent` (a slot index, so a hit never clones) catches
+/// streaming misses through one object; the direct-mapped array (slotted
+/// by 4 KiB address region) catches interleaved hot objects. Entries
+/// carry the epoch at fill time, so any alloc/free invalidates the whole
+/// memo with zero work — the tag compare fails.
 #[derive(Debug, Clone)]
-pub struct ExtentMemo {
-    slots: [(Addr, Addr, u32, u64); MEMO_SLOTS],
-    recent: (Addr, Addr, u32, u64),
+pub struct ExtentMemo<T> {
+    slots: [MemoEntry<T>; MEMO_SLOTS],
+    recent: usize,
 }
 
-impl Default for ExtentMemo {
+impl<T: Default> Default for ExtentMemo<T> {
     fn default() -> Self {
-        // Zeroed entries are inert at any epoch: no address lies in
-        // the empty range [0, 0).
         ExtentMemo {
-            slots: [(0, 0, 0, 0); MEMO_SLOTS],
-            recent: (0, 0, 0, 0),
+            slots: std::array::from_fn(|_| MemoEntry::default()),
+            recent: 0,
         }
     }
 }
 
-impl ExtentMemo {
+impl<T: Default> ExtentMemo<T> {
     /// A cold memo.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T> ExtentMemo<T> {
     #[inline]
     fn slot(addr: Addr) -> usize {
         (((addr >> 12) ^ (addr >> 17)) as usize) & (MEMO_SLOTS - 1)
     }
 
-    /// Resolve `addr` from the memo if a live-epoch entry covers it.
+    /// The value stored for `addr` if a live-epoch entry covers it.
     #[inline]
-    pub fn lookup(&mut self, addr: Addr, epoch: u64) -> Option<u32> {
-        let (b, e, id, tag) = self.recent;
-        if tag == epoch && addr >= b && addr < e {
-            return Some(id);
-        }
-        let (b, e, id, tag) = self.slots[Self::slot(addr)];
-        if tag == epoch && addr >= b && addr < e {
-            self.recent = (b, e, id, tag);
-            return Some(id);
+    pub fn lookup(&mut self, addr: Addr, epoch: u64) -> Option<&T> {
+        for s in [self.recent, Self::slot(addr)] {
+            let e = &self.slots[s];
+            if e.epoch == epoch && addr >= e.base && addr < e.end {
+                self.recent = s;
+                return Some(&self.slots[s].value);
+            }
         }
         None
     }
 
-    /// Record a resolve of `addr` to extent `[base, end)` = `id` at
-    /// `epoch`. The slot is keyed by the *resolved address* (not the
-    /// extent base), so a large object occupies one slot per 4 KiB
-    /// region it is actually missed in.
+    /// Record a resolve of `addr` to extent `[base, end)` at `epoch`.
+    /// The slot is keyed by the *resolved address* (not the extent base),
+    /// so a large object occupies one slot per 4 KiB region it is
+    /// actually missed in.
     #[inline]
-    pub fn fill(&mut self, addr: Addr, base: Addr, end: Addr, id: u32, epoch: u64) {
-        let entry = (base, end, id, epoch);
-        self.slots[Self::slot(addr)] = entry;
-        self.recent = entry;
+    pub fn fill(&mut self, addr: Addr, base: Addr, end: Addr, value: T, epoch: u64) {
+        let s = Self::slot(addr);
+        self.slots[s] = MemoEntry {
+            base,
+            end,
+            epoch,
+            value,
+        };
+        self.recent = s;
     }
 }
 
@@ -365,23 +390,48 @@ mod tests {
     }
 
     #[test]
-    fn from_extents_builds_a_clean_snapshot() {
-        let idx = EpochIndex::from_extents([
+    fn freeze_builds_a_clean_snapshot_where_the_first_declaration_wins() {
+        let mut idx = EpochIndex::new();
+        for (base, end, id) in [
             (0x3000, 0x3100, 2),
             (0x1000, 0x1100, 0),
             (0x2000, 0x2100, 1),
-        ])
-        .unwrap();
+            (0x10f0, 0x1200, 3),
+        ] {
+            let _ = idx.insert(base, end, id);
+        }
+        idx.freeze();
         assert_eq!(
             idx.frozen_sorted(),
             &[
                 (0x1000, 0x1100, 0),
                 (0x2000, 0x2100, 1),
                 (0x3000, 0x3100, 2)
-            ]
+            ],
+            "the overlapping loser is skipped"
         );
         assert_eq!(idx.epoch(), 0);
-        assert!(EpochIndex::from_extents([(0x1000, 0x1100, 0), (0x10f0, 0x1200, 1)]).is_err());
+    }
+
+    #[test]
+    fn zero_size_extents_claim_their_base_but_never_resolve() {
+        let mut idx = EpochIndex::new();
+        idx.insert(0x1000, 0x1100, 0).unwrap();
+        // A zero-size extent at a live base is rejected, and the live
+        // extent keeps resolving.
+        let e = idx.insert(0x1000, 0x1000, 1).unwrap_err();
+        assert_eq!((e.other_base, e.other_end), (0x1000, 0x1100));
+        assert_eq!(idx.resolve(0x1000), Some((0x1000, 0x1100, 0)));
+        // A zero-size extent on its own is registered but never resolves,
+        // and a later extent at its base loses.
+        idx.insert(0x2000, 0x2000, 2).unwrap();
+        assert_eq!(idx.resolve(0x2000), None);
+        assert!(idx.insert(0x2000, 0x2100, 3).is_err());
+        assert!(idx.insert(0x1f00, 0x2100, 3).is_err(), "spans its base");
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.remove(0x2000), Some((0x2000, 2)));
+        idx.insert(0x2000, 0x2100, 3).unwrap();
+        assert_eq!(idx.resolve(0x2000), Some((0x2000, 0x2100, 3)));
     }
 
     #[test]
@@ -430,13 +480,13 @@ mod tests {
     #[test]
     fn memo_hits_only_within_the_fill_epoch() {
         let mut idx = EpochIndex::new();
-        let mut memo = ExtentMemo::new();
+        let mut memo = ExtentMemo::<u32>::new();
         idx.insert(0x1000, 0x2000, 3).unwrap();
         let ep = idx.epoch();
         assert_eq!(memo.lookup(0x1800, ep), None, "cold memo");
         let (b, e, id) = idx.resolve(0x1800).unwrap();
         memo.fill(0x1800, b, e, id, ep);
-        assert_eq!(memo.lookup(0x1810, ep), Some(3));
+        assert_eq!(memo.lookup(0x1810, ep), Some(&3));
         // Any mutation bumps the epoch; every memo entry goes stale at
         // once.
         idx.remove(0x1000);
@@ -445,7 +495,7 @@ mod tests {
 
     #[test]
     fn memo_keeps_interleaved_hot_objects_resident() {
-        let mut memo = ExtentMemo::new();
+        let mut memo = ExtentMemo::<u32>::new();
         // Two objects far enough apart to land in different slots.
         let a = (0x1_0000u64, 0x1_8000u64, 1u32);
         let b = (0x9_0000u64, 0x9_8000u64, 2u32);
@@ -454,8 +504,8 @@ mod tests {
         // ABAB interleave: both stay resident (the one-entry memo this
         // replaces would miss on every alternation).
         for _ in 0..4 {
-            assert_eq!(memo.lookup(a.0 + 8, 5), Some(1));
-            assert_eq!(memo.lookup(b.0 + 8, 5), Some(2));
+            assert_eq!(memo.lookup(a.0 + 8, 5), Some(&1));
+            assert_eq!(memo.lookup(b.0 + 8, 5), Some(&2));
         }
     }
 
@@ -476,14 +526,15 @@ mod tests {
             for step in 0..4_000u32 {
                 let op = rng.next_u64() % 10;
                 if op < 3 {
-                    // Alloc: 1..=4 slots starting at a random slot.
+                    // Alloc: 0..=4 slots starting at a random slot.
                     let s = rng.next_u64() % 64;
-                    let len = 1 + rng.next_u64() % 4;
+                    let len = rng.next_u64() % 5;
                     let (base, end) = (slot_base(s), slot_base(s + len));
-                    let oracle_overlap = oracle
-                        .range(..end)
-                        .next_back()
-                        .is_some_and(|(_, &(e, _))| e > base);
+                    let oracle_overlap = oracle.contains_key(&base)
+                        || oracle
+                            .range(..end)
+                            .next_back()
+                            .is_some_and(|(_, &(e, _))| e > base);
                     match idx.insert(base, end, next_id) {
                         Ok(()) => {
                             assert!(!oracle_overlap, "oracle saw an overlap at {base:#x}");

@@ -76,7 +76,6 @@ pub struct Mcf {
     rng: SmallRng,
     pending: VecDeque<Event>,
     planned: u64,
-    access_next: Option<u64>,
 }
 
 const NODES_SIZE: u64 = 4 * MIB;
@@ -158,7 +157,6 @@ impl Mcf {
             rng: SmallRng::seed_from_u64(0x3CF0),
             pending,
             planned: 0,
-            access_next: None,
         }
     }
 
@@ -243,16 +241,12 @@ impl Program for Mcf {
         if let Some(ev) = self.pending.pop_front() {
             return Some(ev);
         }
-        if let Some(addr) = self.access_next.take() {
-            return Some(Event::Access(MemRef::read(addr, 8)));
-        }
         self.planned += 1;
         if self.planned.is_multiple_of(self.churn_period) {
             self.churn();
         }
         let addr = self.plan_access();
         // mcf is memory-bound: no compute between accesses.
-        self.access_next = None;
         Some(Event::Access(MemRef::read(addr, 8)))
     }
 
@@ -267,10 +261,6 @@ impl Program for Mcf {
         while !buf.is_full() {
             if let Some(ev) = self.pending.pop_front() {
                 buf.push_event(ev);
-                continue;
-            }
-            if let Some(addr) = self.access_next.take() {
-                buf.push_ref(MemRef::read(addr, 8));
                 continue;
             }
             self.planned += 1;

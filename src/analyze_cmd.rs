@@ -23,6 +23,7 @@
 
 use cachescope::analyze::{AnalysisLimit, AnalyzeConfig};
 use cachescope::campaign::registry;
+use cachescope::cli::{parse_num, value};
 use cachescope::workloads::spec::Scale;
 
 fn usage() -> ! {
@@ -34,13 +35,6 @@ fn usage() -> ! {
          \x20     fuzz:<seed>:<budget>"
     );
     std::process::exit(2);
-}
-
-fn parse_u64(s: &str, what: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|_| {
-        eprintln!("invalid {what}: {s}");
-        std::process::exit(2);
-    })
 }
 
 pub fn run(args: &[String]) -> ! {
@@ -55,20 +49,14 @@ pub fn run(args: &[String]) -> ! {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--all" => all = true,
-            "--refs" => refs = Some(parse_u64(&value("--refs"), "access count")),
-            "--misses" => misses = Some(parse_u64(&value("--misses"), "miss count")),
+            "--refs" => refs = Some(parse_num(&value(&mut it, "--refs"), "access count")),
+            "--misses" => misses = Some(parse_num(&value(&mut it, "--misses"), "miss count")),
             "--paper-scale" => scale = Scale::Paper,
-            "--l1" => l1_kib = Some(parse_u64(&value("--l1"), "L1 size (KiB)")),
-            "--json" => json_out = Some(value("--json")),
-            "--json-dir" => json_dir = Some(value("--json-dir")),
+            "--l1" => l1_kib = Some(parse_num(&value(&mut it, "--l1"), "L1 size (KiB)")),
+            "--json" => json_out = Some(value(&mut it, "--json")),
+            "--json-dir" => json_dir = Some(value(&mut it, "--json-dir")),
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 eprintln!("unknown option: {other}");

@@ -36,6 +36,7 @@
 use std::path::PathBuf;
 
 use cachescope::campaign::{view, CampaignRunner, CampaignSpec};
+use cachescope::cli::{parse_num, value};
 
 fn usage() -> ! {
     eprintln!(
@@ -45,13 +46,6 @@ fn usage() -> ! {
          \x20 --assert-all-cached --bounds"
     );
     std::process::exit(2);
-}
-
-fn parse_usize(s: &str, what: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid {what}: {s}");
-        std::process::exit(2);
-    })
 }
 
 fn main() {
@@ -71,19 +65,15 @@ fn main() {
 
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--jobs" => runner = runner.jobs(Some(parse_usize(&value("--jobs"), "job count"))),
-            "--retries" => {
-                runner = runner.retries(parse_usize(&value("--retries"), "retry count") as u32)
+            "--jobs" => {
+                runner = runner.jobs(Some(parse_num(&value(&mut it, "--jobs"), "job count")))
             }
-            "--cache-dir" => runner = runner.cache_dir(value("--cache-dir")),
-            "--manifest-dir" => runner = runner.manifest_dir(value("--manifest-dir")),
+            "--retries" => {
+                runner = runner.retries(parse_num(&value(&mut it, "--retries"), "retry count"))
+            }
+            "--cache-dir" => runner = runner.cache_dir(value(&mut it, "--cache-dir")),
+            "--manifest-dir" => runner = runner.manifest_dir(value(&mut it, "--manifest-dir")),
             "--force" => runner = runner.force(true),
             "--dry-run" => dry_run = true,
             "--metrics" => show_metrics = true,
@@ -91,7 +81,7 @@ fn main() {
                 profile = true;
                 runner = runner.profile(true);
             }
-            "--trace-out" => trace_out = Some(value("--trace-out")),
+            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
             "--assert-all-cached" => assert_all_cached = true,
             "--bounds" => bounds_gate = true,
             "--help" | "-h" => usage(),

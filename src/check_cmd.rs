@@ -40,6 +40,7 @@
 
 use std::path::{Path, PathBuf};
 
+use cachescope::cli::value;
 use cachescope::workloads::spec::Scale;
 use cachescope_check::{selflint, CheckReport};
 
@@ -71,26 +72,20 @@ pub fn run(args: &[String]) -> ! {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--trace" => traces.push(value("--trace")),
-            "--campaign" => campaigns.push(value("--campaign")),
-            "--workload" => workloads.push(value("--workload")),
-            "--timeline" => timelines.push(value("--timeline")),
-            "--spans" => spans.push(value("--spans")),
-            "--wire" => wires.push(value("--wire")),
-            "--fuzz" => fuzzes.push(value("--fuzz")),
-            "--bounds" => bounds.push(value("--bounds")),
+            "--trace" => traces.push(value(&mut it, "--trace")),
+            "--campaign" => campaigns.push(value(&mut it, "--campaign")),
+            "--workload" => workloads.push(value(&mut it, "--workload")),
+            "--timeline" => timelines.push(value(&mut it, "--timeline")),
+            "--spans" => spans.push(value(&mut it, "--spans")),
+            "--wire" => wires.push(value(&mut it, "--wire")),
+            "--fuzz" => fuzzes.push(value(&mut it, "--fuzz")),
+            "--bounds" => bounds.push(value(&mut it, "--bounds")),
             "--self-lint" => self_lint = true,
             "--all" => all = true,
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--root" => root = PathBuf::from(value("--root")),
+            "--root" => root = PathBuf::from(value(&mut it, "--root")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown option: {other}");

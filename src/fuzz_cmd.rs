@@ -22,6 +22,7 @@
 //! Exit codes: `0` clean, `1` new silent inversions, bounds violations
 //! or golden replay failures, `2` usage errors.
 
+use cachescope::cli::{parse_num, value};
 use cachescope::fuzzgen::{
     golden, minimize, minimize_violation, run_differential, DifferentialConfig, Golden, Property,
     Provenance, Verdict,
@@ -49,13 +50,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_u64(s: &str, what: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|_| {
-        eprintln!("invalid {what}: {s}");
-        std::process::exit(2);
-    })
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
@@ -70,22 +64,18 @@ pub fn run(args: &[String]) -> ! {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--smoke" => cfg = DifferentialConfig::smoke(),
-            "--seeds" => cfg.seeds = parse_u64(&value("--seeds"), "seed count"),
-            "--seed-base" => cfg.seed_base = parse_u64(&value("--seed-base"), "seed base"),
-            "--budget-refs" => cfg.budget_refs = parse_u64(&value("--budget-refs"), "ref budget"),
+            "--seeds" => cfg.seeds = parse_num(&value(&mut it, "--seeds"), "seed count"),
+            "--seed-base" => cfg.seed_base = parse_num(&value(&mut it, "--seed-base"), "seed base"),
+            "--budget-refs" => {
+                cfg.budget_refs = parse_num(&value(&mut it, "--budget-refs"), "ref budget")
+            }
             "--minimize" => do_minimize = true,
-            "--json" => json_out = Some(value("--json")),
-            "--golden-dir" => golden_dir = value("--golden-dir"),
-            "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir").into()),
-            "--jobs" => cfg.jobs = Some(parse_u64(&value("--jobs"), "jobs") as usize),
+            "--json" => json_out = Some(value(&mut it, "--json")),
+            "--golden-dir" => golden_dir = value(&mut it, "--golden-dir"),
+            "--cache-dir" => cfg.cache_dir = Some(value(&mut it, "--cache-dir").into()),
+            "--jobs" => cfg.jobs = Some(parse_num(&value(&mut it, "--jobs"), "jobs")),
             "--metrics" => show_metrics = true,
             "--help" | "-h" => usage(),
             other => {

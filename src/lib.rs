@@ -63,6 +63,8 @@
 //! println!("{}", report);
 //! ```
 
+pub mod cli;
+
 pub use cachescope_analyze as analyze;
 pub use cachescope_campaign as campaign;
 pub use cachescope_check as check;

@@ -62,6 +62,7 @@
 //! cargo run --release -- mcf --technique sampling:1000 --aggregate
 //! ```
 
+use cachescope::cli::{parse_num, value};
 use cachescope::core::{Experiment, TechniqueConfig};
 use cachescope::sim::{Program, RunLimit};
 use cachescope::workloads::spec::{self, Scale};
@@ -93,13 +94,6 @@ fn usage() -> ! {
          \x20      (streaming attribution daemon and its client)"
     );
     std::process::exit(2);
-}
-
-fn parse_u64(s: &str, what: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|_| {
-        eprintln!("invalid {what}: {s}");
-        std::process::exit(2);
-    })
 }
 
 fn workload(app: &str, scale: Scale) -> Box<dyn Program> {
@@ -173,24 +167,20 @@ fn main() {
 
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--technique" => technique = value("--technique"),
-            "--misses" => misses = parse_u64(&value("--misses"), "miss count"),
-            "--counters" => counters = parse_u64(&value("--counters"), "counters") as usize,
-            "--interval" => interval = parse_u64(&value("--interval"), "interval"),
+            "--technique" => technique = value(&mut it, "--technique"),
+            "--misses" => misses = parse_num(&value(&mut it, "--misses"), "miss count"),
+            "--counters" => counters = parse_num(&value(&mut it, "--counters"), "counters"),
+            "--interval" => interval = parse_num(&value(&mut it, "--interval"), "interval"),
             "--paper-scale" => scale = Scale::Paper,
             "--aggregate" => aggregate = true,
-            "--timeline" => timeline = Some(parse_u64(&value("--timeline"), "bucket width")),
-            "--top" => top = parse_u64(&value("--top"), "row count") as usize,
-            "--record" => record = Some(value("--record")),
+            "--timeline" => {
+                timeline = Some(parse_num(&value(&mut it, "--timeline"), "bucket width"))
+            }
+            "--top" => top = parse_num(&value(&mut it, "--top"), "row count"),
+            "--record" => record = Some(value(&mut it, "--record")),
             "--trace-format" => {
-                trace_format = match value("--trace-format").as_str() {
+                trace_format = match value(&mut it, "--trace-format").as_str() {
                     "text" => cachescope::sim::TraceFormat::Text,
                     "bin" => cachescope::sim::TraceFormat::Bin,
                     other => {
@@ -199,16 +189,18 @@ fn main() {
                     }
                 }
             }
-            "--replay" => replay = Some(value("--replay")),
-            "--csv" => csv = Some(value("--csv")),
-            "--json" => json_out = Some(value("--json")),
-            "--trace-out" => trace_out = Some(value("--trace-out")),
+            "--replay" => replay = Some(value(&mut it, "--replay")),
+            "--csv" => csv = Some(value(&mut it, "--csv")),
+            "--json" => json_out = Some(value(&mut it, "--json")),
+            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
             "--metrics" => show_metrics = true,
             "--search-log" => search_log = true,
-            "--l1" => l1_kib = Some(parse_u64(&value("--l1"), "L1 size (KiB)")),
-            "--flamegraph" if profile_mode => flamegraph_out = Some(value("--flamegraph")),
-            "--spans-out" if profile_mode => spans_out = Some(value("--spans-out")),
-            "--timeline-out" if profile_mode => timeline_out = Some(value("--timeline-out")),
+            "--l1" => l1_kib = Some(parse_num(&value(&mut it, "--l1"), "L1 size (KiB)")),
+            "--flamegraph" if profile_mode => flamegraph_out = Some(value(&mut it, "--flamegraph")),
+            "--spans-out" if profile_mode => spans_out = Some(value(&mut it, "--spans-out")),
+            "--timeline-out" if profile_mode => {
+                timeline_out = Some(value(&mut it, "--timeline-out"))
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown option: {other}");

@@ -34,6 +34,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use cachescope::cli::{parse_num, value};
 use cachescope::serve::{
     query_status, submit_bytes_with_retry, Addr, Daemon, RetryPolicy, ServeConfig, SessionConfig,
     SubmitOutcome,
@@ -61,13 +62,6 @@ fn submit_usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_num(s: &str, what: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|_| {
-        eprintln!("bad {what}: {s}");
-        std::process::exit(2);
-    })
-}
-
 /// `cachescope serve ...`
 pub fn run_serve(args: &[String]) -> ! {
     let mut config = ServeConfig::default();
@@ -75,25 +69,23 @@ pub fn run_serve(args: &[String]) -> ! {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--unix" => config.unix = Some(PathBuf::from(value("--unix"))),
-            "--tcp" => config.tcp = Some(value("--tcp")),
+            "--unix" => config.unix = Some(PathBuf::from(value(&mut it, "--unix"))),
+            "--tcp" => config.tcp = Some(value(&mut it, "--tcp")),
             "--max-sessions" => {
-                config.max_sessions = parse_num(&value("--max-sessions"), "session count") as usize
+                config.max_sessions = parse_num(&value(&mut it, "--max-sessions"), "session count")
             }
             "--byte-budget" => {
-                config.byte_budget = parse_num(&value("--byte-budget"), "byte budget")
+                config.byte_budget = parse_num(&value(&mut it, "--byte-budget"), "byte budget")
             }
-            "--jobs" => config.workers = Some(parse_num(&value("--jobs"), "worker count") as usize),
-            "--cache-dir" => config.cache_dir = Some(PathBuf::from(value("--cache-dir"))),
-            "--events-out" => config.events_path = Some(PathBuf::from(value("--events-out"))),
-            "--drain-timeout" => drain_timeout = parse_num(&value("--drain-timeout"), "seconds"),
+            "--jobs" => config.workers = Some(parse_num(&value(&mut it, "--jobs"), "worker count")),
+            "--cache-dir" => config.cache_dir = Some(PathBuf::from(value(&mut it, "--cache-dir"))),
+            "--events-out" => {
+                config.events_path = Some(PathBuf::from(value(&mut it, "--events-out")))
+            }
+            "--drain-timeout" => {
+                drain_timeout = parse_num(&value(&mut it, "--drain-timeout"), "seconds")
+            }
             "--analyze-reject" => config.analyze_reject = true,
             "--help" | "-h" => serve_usage(),
             other => {
@@ -147,25 +139,20 @@ pub fn run_submit(args: &[String]) -> ! {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--unix" => addr = Some(Addr::Unix(PathBuf::from(value("--unix")))),
-            "--tcp" => addr = Some(Addr::Tcp(value("--tcp"))),
-            "--trace" => trace = Some(PathBuf::from(value("--trace"))),
-            "--technique" => config.technique_spec = value("--technique"),
-            "--misses" => config.misses = parse_num(&value("--misses"), "miss count"),
-            "--counters" => config.counters = parse_num(&value("--counters"), "counters") as usize,
-            "--interval" => config.interval = parse_num(&value("--interval"), "interval"),
-            "--chunk" => chunk = parse_num(&value("--chunk"), "chunk size") as usize,
-            "--json" => json_out = Some(PathBuf::from(value("--json"))),
-            "--retries" => policy.retries = parse_num(&value("--retries"), "retry count") as u32,
+            "--unix" => addr = Some(Addr::Unix(PathBuf::from(value(&mut it, "--unix")))),
+            "--tcp" => addr = Some(Addr::Tcp(value(&mut it, "--tcp"))),
+            "--trace" => trace = Some(PathBuf::from(value(&mut it, "--trace"))),
+            "--technique" => config.technique_spec = value(&mut it, "--technique"),
+            "--misses" => config.misses = parse_num(&value(&mut it, "--misses"), "miss count"),
+            "--counters" => config.counters = parse_num(&value(&mut it, "--counters"), "counters"),
+            "--interval" => config.interval = parse_num(&value(&mut it, "--interval"), "interval"),
+            "--chunk" => chunk = parse_num(&value(&mut it, "--chunk"), "chunk size"),
+            "--json" => json_out = Some(PathBuf::from(value(&mut it, "--json"))),
+            "--retries" => policy.retries = parse_num(&value(&mut it, "--retries"), "retry count"),
             "--retry-backoff-ms" => {
-                policy.backoff_ms = parse_num(&value("--retry-backoff-ms"), "retry backoff")
+                policy.backoff_ms =
+                    parse_num(&value(&mut it, "--retry-backoff-ms"), "retry backoff")
             }
             "--status" => status = true,
             "--help" | "-h" => submit_usage(),
